@@ -5,6 +5,7 @@ inequalities and a reproducible experiment harness."""
 __version__ = "0.1.0"
 
 from .functions import ExponentSet, lq_norm, morrey_norm, level_set_measure
+from .generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from .operators import (
     KernelConvention,
     fractional_integral,
@@ -22,17 +23,35 @@ from .space import (
     doubling_ratio,
     validate_space,
 )
+from .theorems import (
+    check_T1_weak_maximal,
+    check_T2_hedberg,
+    check_T3_weak_frac,
+    check_T6_strong,
+    check_T7_maximal_morrey,
+    check_weak_L1,
+)
 
 __all__ = [
     "BallSpec",
     "ExponentSet",
+    "FunctionSpec",
     "KernelConvention",
     "MetricMeasureSpace",
+    "SpaceSpec",
     "ball_measure",
     "ball_members",
     "breakpoints",
+    "check_T1_weak_maximal",
+    "check_T2_hedberg",
+    "check_T3_weak_frac",
+    "check_T6_strong",
+    "check_T7_maximal_morrey",
+    "check_weak_L1",
     "doubling_ratio",
     "fractional_integral",
+    "generate_function",
+    "generate_space",
     "hedberg_constant",
     "hedberg_layer_sum",
     "layer_radii",

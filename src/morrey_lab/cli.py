@@ -11,7 +11,6 @@ version): records are merged in canonical order, numbers are printed with
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -25,19 +24,7 @@ from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
 from .functions import ExponentOutOfRange, ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .space import MetricMeasureSpace, find_violations, validate_space
-from .theorems import (
-    CHECK_IDS,
-    check_T1_weak_maximal,
-    check_T2_hedberg,
-    check_T3_weak_frac,
-    check_T6_strong,
-    check_T7_maximal_morrey,
-    check_weak_L1,
-    enumerate_balls,
-    gamma_grid,
-    maximal,
-)
-from .operators import KernelConvention, fractional_integral
+from .theorems import BALL_CHECKS, CHECK_IDS, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
     "check_id",
@@ -293,14 +280,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # space / function file IO
 
 
-def load_space_file(path: str) -> MetricMeasureSpace:
+def _read_space_doc(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (dist, mass) arrays of a space file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     ent = _take(doc, path, ("n", "dist", "mass"), {})
     n = int(ent["n"])
-    dist = np.asarray(ent["dist"], dtype=float).reshape(n, n)
-    mass = np.asarray(ent["mass"], dtype=float)
-    return validate_space(dist, mass)
+    return np.asarray(ent["dist"], dtype=float).reshape(n, n), np.asarray(ent["mass"], dtype=float)
+
+
+def load_space_file(path: str) -> MetricMeasureSpace:
+    return validate_space(*_read_space_doc(path))
 
 
 def save_space_file(space: MetricMeasureSpace, path: str):
@@ -346,49 +336,22 @@ def _report_to_row(rep, space_id, function_id, extra=None):
     return row
 
 
-def _pair_records(space, space_id, f, function_id, cfg: ExperimentConfig):
+def _error_row(check_id, space_id, function_id, error):
+    row = {c: "" for c in CSV_COLUMNS}
+    row.update({"check_id": check_id, "space_id": space_id, "function_id": function_id, "error": error})
+    return row
+
+
+def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig):
     """All requested check records for one (space, function) pair."""
     rows = []
-    glo, ghi, gcount = cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count
-    balls = enumerate_balls(space, limit=64, seed=cfg.seed)
     for check in cfg.checks:
         try:
-            if check == "T1":
-                mf = maximal(space, f, 2.0)
-                gam = gamma_grid(float(mf.max()), glo, ghi, gcount)
-                for exps in cfg.exponents:
-                    for a, r in balls:
-                        for rep in check_T1_weak_maximal(space, f, a, r, exps.p, gam):
-                            rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
-            elif check == "T2":
-                for exps in cfg.exponents:
-                    rep = check_T2_hedberg(space, f, exps.p, exps.alpha)
-                    rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
-            elif check == "T3":
-                for exps in cfg.exponents:
-                    pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
-                    gam = gamma_grid(float(pot.max()), glo, ghi, gcount)
-                    for a, r in balls:
-                        for rep in check_T3_weak_frac(space, f, a, r, exps, gam):
-                            rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
-            elif check == "T6":
-                for exps in cfg.exponents:
-                    rep = check_T6_strong(space, f, exps)
-                    rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
-            elif check == "T7":
-                for exps in cfg.exponents:
-                    rep = check_T7_maximal_morrey(space, f, exps.p, exps.q)
-                    rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
-            elif check == "weakL1":
-                mf = maximal(space, f, 2.0)
-                gam = gamma_grid(float(mf.max()), glo, ghi, gcount)
-                for rep in check_weak_L1(space, f, gam):
-                    rows.append(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}))
+            reports = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
         except Exception as exc:  # surfaced per record, run continues
-            row = {c: "" for c in CSV_COLUMNS}
-            row.update({"check_id": check, "space_id": space_id, "function_id": function_id})
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+            rows.append(_error_row(check, space_id, function_id, f"{type(exc).__name__}: {exc}"))
+            continue
+        rows.extend(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}) for rep in reports)
     return rows
 
 
@@ -426,7 +389,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run(cfg: ExperimentConfig, jobs: int = 1, base_dir: str = ".", log=None):
+def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     """Execute a parsed config; returns (report dict, exit code)."""
 
     def say(msg):
@@ -436,26 +399,16 @@ def run(cfg: ExperimentConfig, jobs: int = 1, base_dir: str = ".", log=None):
     spaces = _materialize_spaces(cfg, base_dir)
     say(f"materialized {len(spaces)} spaces")
 
-    work = []
+    records = []
+    needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
+        balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
         for fid, f in _materialize_functions(cfg, space, base_dir):
-            work.append((space, sid, f, fid))
-
-    def run_pair(item):
-        space, sid, f, fid = item
-        if f is None:
-            row = {c: "" for c in CSV_COLUMNS}
-            row.update({"check_id": "", "space_id": sid, "function_id": fid})
-            row["error"] = "FunctionShapeMismatch"
-            return [row]
-        return _pair_records(space, sid, f, fid, cfg)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_pair, work))
-    else:
-        chunks = [run_pair(item) for item in work]
-    records = [row for chunk in chunks for row in chunk]
+            if f is None:
+                records.append(_error_row("", sid, fid, "FunctionShapeMismatch"))
+            else:
+                records += _pair_records(space, sid, f, fid, balls, cfg)
+    # canonical order: report bytes do not depend on evaluation order
     records.sort(key=lambda r: tuple(_fmt(r.get(c, "")) for c in CSV_COLUMNS))
     say(f"collected {len(records)} check records")
 
@@ -540,13 +493,6 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("MORREY_LAB_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 def _run_command(args, only=None) -> int:
     try:
         cfg = _load_config(args.config, args.seed)
@@ -560,7 +506,7 @@ def _run_command(args, only=None) -> int:
                 }
             )
         log = None if args.quiet else sys.stderr
-        report, code = run(cfg, jobs=_jobs_from(args), base_dir=os.path.dirname(args.config) or ".", log=log)
+        report, code = run(cfg, base_dir=os.path.dirname(args.config) or ".", log=log)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -580,10 +526,8 @@ def main(argv=None) -> int:
     def add_run_like(name, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="experiment config file (JSON)")
-        p.add_argument("--config", dest="config_flag", help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--jobs", type=int, default=None, help="parallel work items (env MORREY_LAB_JOBS)")
         return p
 
     add_run_like("run", "run every check, estimate and sweep in the config")
@@ -605,12 +549,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate":
         try:
-            with open(args.space_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            ent = _take(doc, args.space_file, ("n", "dist", "mass"), {})
-            n = int(ent["n"])
-            dist = np.asarray(ent["dist"], dtype=float).reshape(n, n)
-            mass = np.asarray(ent["mass"], dtype=float)
+            dist, mass = _read_space_doc(args.space_file)
         except (OSError, ValueError, ConfigError) as exc:
             print(f"cannot read space file: {exc}", file=sys.stderr)
             return 2

@@ -16,25 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .functions import ExponentSet
+from .functions import ExponentSet, morrey_norm
 from .operators import KernelConvention, fractional_integral, maximal
-from .functions import morrey_norm
-from .theorems import (
-    CHECK_IDS,
-    check_T1_weak_maximal,
-    check_T2_hedberg,
-    check_T3_weak_frac,
-    check_T6_strong,
-    check_T7_maximal_morrey,
-    check_weak_L1,
-    enumerate_balls,
-    gamma_grid,
-)
 from .space import MetricMeasureSpace
-
-
-class UnknownCheckId(ValueError):
-    pass
+from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, enumerate_balls, evaluate
 
 
 @dataclass(frozen=True)
@@ -74,34 +59,10 @@ def make_objective(space: MetricMeasureSpace, check_id: str, exps: ExponentSet, 
     """
     if check_id not in CHECK_IDS:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
-    balls = enumerate_balls(space, limit=64, seed=seed) if check_id in ("T1", "T3") else None
+    balls = enumerate_balls(space, limit=64, seed=seed) if check_id in BALL_CHECKS else []
 
     def objective(f: np.ndarray) -> float:
-        if check_id == "T1":
-            mf = maximal(space, f, 2.0)
-            gam = gamma_grid(float(mf.max()))
-            best = 0.0
-            for a, r in balls:
-                for rep in check_T1_weak_maximal(space, f, a, r, exps.p, gam):
-                    best = max(best, rep.empirical_constant)
-            return best
-        if check_id == "T2":
-            return check_T2_hedberg(space, f, exps.p, exps.alpha).empirical_constant
-        if check_id == "T3":
-            pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
-            gam = gamma_grid(float(pot.max()))
-            best = 0.0
-            for a, r in balls:
-                for rep in check_T3_weak_frac(space, f, a, r, exps, gam):
-                    best = max(best, rep.empirical_constant)
-            return best
-        if check_id == "T6":
-            return check_T6_strong(space, f, exps).empirical_constant
-        if check_id == "T7":
-            return check_T7_maximal_morrey(space, f, exps.p, exps.q).empirical_constant
-        mf = maximal(space, f, 2.0)
-        gam = gamma_grid(float(mf.max()))
-        return max(rep.empirical_constant for rep in check_weak_L1(space, f, gam))
+        return max((rep.empirical_constant for rep in evaluate(space, f, check_id, [exps], balls)), default=0.0)
 
     return objective
 

@@ -21,9 +21,14 @@ from .rng import shuffle_indices
 from .space import MetricMeasureSpace
 
 CHECK_IDS = ("T1", "T2", "T3", "T6", "T7", "weakL1")
+BALL_CHECKS = ("T1", "T3")  # the checks that quantify over enumerate_balls
 
 
 class EmptyBall(ValueError):
+    pass
+
+
+class UnknownCheckId(ValueError):
     pass
 
 
@@ -229,4 +234,57 @@ def check_weak_L1(space, f, gammas) -> list[CheckReport]:
     out = []
     for g, l in zip(gammas, lhs):
         out.append(_make_report("weakL1", {"gamma": float(g)}, l, l1 / g))
+    return out
+
+
+def evaluate(
+    space,
+    f,
+    check_id: str,
+    exponents,
+    balls,
+    gamma_lo: float = 1e-3,
+    gamma_hi: float = 1e3,
+    gamma_count: int = 25,
+) -> list[CheckReport]:
+    """Every report of one check on one function: per exponent triple, and
+    for the ball checks (``BALL_CHECKS``) per ball in ``balls``.
+
+    This is the one dispatch over ``CHECK_IDS``.  For T1 and T3 the values
+    shared by all balls (M_2|f|, I_alpha|f| at kappa=2, the (p,1,2) Morrey
+    norm and the level grid) are computed once per function and exponent
+    triple and handed to the per-ball checkers.  The level grids span
+    [gamma_lo, gamma_hi] times the maximum of the operator whose level sets
+    are measured.
+    """
+    f = np.abs(as_function(space, f))
+
+    def levels(values):
+        return gamma_grid(float(values.max()), gamma_lo, gamma_hi, gamma_count)
+
+    out = []
+    if check_id == "T1":
+        mf = maximal(space, f, 2.0)
+        gam = levels(mf)
+        for exps in exponents:
+            norm = morrey_norm(space, f, exps.p, 1.0, 2.0)
+            for a, r in balls:
+                out += check_T1_weak_maximal(space, f, a, r, exps.p, gam, mf=mf, norm=norm)
+    elif check_id == "T3":
+        for exps in exponents:
+            pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+            gam = levels(pot)
+            norm = morrey_norm(space, f, exps.p, 1.0, 2.0)
+            for a, r in balls:
+                out += check_T3_weak_frac(space, f, a, r, exps, gam, pot=pot, norm=norm)
+    elif check_id == "T2":
+        out = [check_T2_hedberg(space, f, exps.p, exps.alpha) for exps in exponents]
+    elif check_id == "T6":
+        out = [check_T6_strong(space, f, exps) for exps in exponents]
+    elif check_id == "T7":
+        out = [check_T7_maximal_morrey(space, f, exps.p, exps.q) for exps in exponents]
+    elif check_id == "weakL1":
+        out = check_weak_L1(space, f, levels(maximal(space, f, 2.0)))
+    else:
+        raise UnknownCheckId(f"unknown check id {check_id!r}")
     return out

@@ -64,6 +64,12 @@ class TestSpaceFiles:
         assert code == 1
         assert "Asymmetry" in capsys.readouterr().out
 
+    def test_validate_unreadable_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": 2, "dist": [0, 1, 1], "mass": [1, 1]}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot read space file" in capsys.readouterr().err
+
     def test_gen_then_validate(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"family": "grid", "n": 4, "dim": 1, "halfwidth": 0.5}))
@@ -115,13 +121,6 @@ class TestRun:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        cfg1 = write_config(tmp_path, {"output_dir": str(tmp_path / "a")}, "c1.json")
-        cfg2 = write_config(tmp_path, {"output_dir": str(tmp_path / "b")}, "c2.json")
-        assert cli.main(["--quiet", "run", cfg1]) == 0
-        assert cli.main(["--quiet", "run", cfg2, "--jobs", "4"]) == 0
-        assert (tmp_path / "a" / "records.csv").read_bytes() == (tmp_path / "b" / "records.csv").read_bytes()
-
     def test_seed_override_changes_report(self, tmp_path):
         cfg1 = write_config(tmp_path, {"output_dir": str(tmp_path / "a")}, "c1.json")
         cfg2 = write_config(tmp_path, {"output_dir": str(tmp_path / "b")}, "c2.json")
@@ -152,6 +151,44 @@ class TestRun:
         assert len(report["sweeps"]) == 1
         kappas = {row["kappa"] for row in report["sweeps"][0]["table"]}
         assert kappas == {1.0, 2.0}
+
+
+class TestSharedWork:
+    def test_plain_checks_share_balls_and_operators(self, monkeypatch):
+        """Balls are enumerated once per space, and M_2 and I_alpha run a
+        bounded number of times per (space, function), not once per ball."""
+        from morrey_lab import extremal, operators, theorems
+
+        calls = {"enumerate_balls": [], "maximal": [], "fractional_integral": []}
+        for name in calls:
+            original = getattr(theorems, name)
+
+            def counted(space, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(id(space))
+                return _original(space, *args, **kwargs)
+
+            for module in (operators, theorems, extremal, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["checks"] = [c for c in raw["checks"] if isinstance(c, str)]
+        cfg = parse_config(raw)
+        report, code = cli.run(cfg)
+        assert code == 0 and report["verdict"]["errors"] == 0
+
+        n_spaces, n_functions, n_exps = len(cfg.spaces), len(cfg.functions), len(cfg.exponents)
+        assert len(calls["enumerate_balls"]) == n_spaces
+        assert len(set(calls["enumerate_balls"])) == n_spaces
+        assert calls["maximal"] and calls["fractional_integral"]
+        for space_id in set(calls["enumerate_balls"]):
+            # T1 and weakL1: once each per function, plus weakL1's checker;
+            # T2 and T7: once per exponent triple
+            assert calls["maximal"].count(space_id) <= n_functions * (3 + 2 * n_exps)
+            # T2, T3 and T6: once per exponent triple
+            assert calls["fractional_integral"].count(space_id) <= n_functions * 3 * n_exps
 
 
 class TestShippedCorpus:

@@ -10,7 +10,14 @@ from morrey_lab.extremal import (
 )
 from morrey_lab.functions import ExponentSet
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
-from morrey_lab.theorems import check_T2_hedberg
+from morrey_lab.operators import KernelConvention, fractional_integral, maximal
+from morrey_lab.theorems import (
+    check_T1_weak_maximal,
+    check_T2_hedberg,
+    check_T3_weak_frac,
+    enumerate_balls,
+    gamma_grid,
+)
 
 from conftest import random_space, single_point_space
 
@@ -55,6 +62,37 @@ class TestEstimate:
         res = estimate_constant(sp, "T2", EXPS, FAST)
         objective = make_objective(sp, "T2", EXPS, seed=FAST.seed)
         assert res.best_ratio == pytest.approx(objective(res.argmax_f), rel=1e-12)
+
+
+class TestObjective:
+    @staticmethod
+    def per_ball_objective(space, check_id, exps, seed, f):
+        """The largest empirical constant over the seeded balls, each ball
+        checked on its own with no precomputed values."""
+        best = 0.0
+        for a, r in enumerate_balls(space, limit=64, seed=seed):
+            if check_id == "T1":
+                gam = gamma_grid(float(maximal(space, f, 2.0).max()))
+                reps = check_T1_weak_maximal(space, f, a, r, exps.p, gam)
+            else:
+                gam = gamma_grid(float(fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0)).max()))
+                reps = check_T3_weak_frac(space, f, a, r, exps, gam)
+            for rep in reps:
+                best = max(best, rep.empirical_constant)
+        return best
+
+    @pytest.mark.parametrize("check_id", ["T1", "T3"])
+    def test_ball_checks_match_per_ball_loop_on_grid16(self, check_id):
+        sp = generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5))
+        functions = [
+            generate_function(sp, FunctionSpec("power-spike", center=2, beta=1.5, cap=50.0)),
+            generate_function(sp, FunctionSpec("random-sparse", seed=11, density=0.3)),
+            generate_function(sp, FunctionSpec("random-uniform", seed=21)),
+        ]
+        for exps in (EXPS, ExponentSet.from_pqa(4.0, 2.0, 0.125)):
+            objective = make_objective(sp, check_id, exps, seed=FAST.seed)
+            for f in functions:
+                assert objective(f) == self.per_ball_objective(sp, check_id, exps, FAST.seed, f)
 
 
 class TestKappaSweep:

@@ -1,12 +1,19 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentSet
+from morrey_lab.generators import generate_function, generate_space
+from morrey_lab.operators import KernelConvention, fractional_integral, maximal
 from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import (
+    CHECK_IDS,
     EmptyBall,
+    UnknownCheckId,
     check_T1_weak_maximal,
     check_T2_hedberg,
     check_T3_weak_frac,
@@ -14,6 +21,7 @@ from morrey_lab.theorems import (
     check_T7_maximal_morrey,
     check_weak_L1,
     enumerate_balls,
+    evaluate,
     gamma_grid,
 )
 
@@ -234,3 +242,51 @@ class TestScalingInvariance:
         b = check_weak_L1(sp, f, [0.3])[0].empirical_constant
         s = check_weak_L1(sp, lam * f, [lam * 0.3])[0].empirical_constant
         assert s == pytest.approx(b, rel=1e-12)
+
+
+def per_ball_reports(space, f, check_id, exponents, balls, lo, hi, count):
+    """Every report of a check from the public checkers, each called without
+    precomputed operator values or norms."""
+    out = []
+    for exps in exponents:
+        if check_id == "T1":
+            gam = gamma_grid(float(maximal(space, f, 2.0).max()), lo, hi, count)
+            for a, r in balls:
+                out += check_T1_weak_maximal(space, f, a, r, exps.p, gam)
+        elif check_id == "T3":
+            pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+            gam = gamma_grid(float(pot.max()), lo, hi, count)
+            for a, r in balls:
+                out += check_T3_weak_frac(space, f, a, r, exps, gam)
+        elif check_id == "T2":
+            out.append(check_T2_hedberg(space, f, exps.p, exps.alpha))
+        elif check_id == "T6":
+            out.append(check_T6_strong(space, f, exps))
+        elif check_id == "T7":
+            out.append(check_T7_maximal_morrey(space, f, exps.p, exps.q))
+    if check_id == "weakL1":
+        out += check_weak_L1(space, f, gamma_grid(float(maximal(space, f, 2.0).max()), lo, hi, count))
+    return out
+
+
+class TestEvaluate:
+    def test_matches_per_ball_checkers_on_corpus(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+            cfg = parse_config(json.load(fh))
+        assert len(cfg.exponents) == 2
+        grid = (cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
+        for _, sspec in cfg.spaces:
+            sp = generate_space(sspec)
+            balls = enumerate_balls(sp, limit=64, seed=cfg.seed)
+            for _, fspec in cfg.functions:
+                f = generate_function(sp, fspec)
+                for check in CHECK_IDS:
+                    got = evaluate(sp, f, check, cfg.exponents, balls, *grid)
+                    want = per_ball_reports(sp, f, check, cfg.exponents, balls, *grid)
+                    assert len(got) == len(want) > 0
+                    assert got == want, (check, fspec)
+
+    def test_unknown_check_id(self):
+        with pytest.raises(UnknownCheckId):
+            evaluate(single_point_space(), [1.0], "T9", [EXPS], [(0, 1.0)])
