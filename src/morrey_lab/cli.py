@@ -15,13 +15,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
-from .functions import ExponentOutOfRange, ExponentSet
+from .functions import ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .space import MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, enumerate_balls, evaluate
@@ -98,82 +99,47 @@ class ExperimentConfig:
     raw: dict
 
 
-def _parse_space_entry(raw, index, default_seed):
-    ent = _take(
-        raw,
-        f"spaces[{index}]",
-        (),
-        {
-            "id": f"space{index}",
-            "file": None,
-            "family": None,
-            "n": 16,
-            "dim": 1,
-            "beta": 0.0,
-            "halfwidth": 1.0,
-            "depth": 3,
-            "seed": None,
-        },
-    )
-    sid = str(ent["id"])
-    if ent["file"] is not None:
-        return sid, str(ent["file"])
-    if ent["family"] is None:
-        raise ConfigError(f"spaces[{index}]: need either 'file' or 'family'")
-    seed = default_seed if ent["seed"] is None else int(ent["seed"])
+def _coerce(context: str, key: str, kind, value):
     try:
-        spec = SpaceSpec(
-            family=str(ent["family"]),
-            n=int(ent["n"]),
-            dim=int(ent["dim"]),
-            beta=float(ent["beta"]),
-            halfwidth=float(ent["halfwidth"]),
-            depth=int(ent["depth"]),
-            seed=seed,
-        )
-    except InvalidSpec as exc:
-        raise ConfigError(f"spaces[{index}]: {exc}") from exc
-    return sid, spec
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _spec_defaults(cls, skip=()) -> dict:
+    """The config keys of a spec dataclass: its field names and defaults."""
+    return {f.name: (None if f.default is MISSING else f.default) for f in fields(cls) if f.name not in skip}
+
+
+def _build_spec(cls, ent: dict, context: str, **given):
+    """``cls`` from a config entry, each field coerced to its annotated type."""
+    types = typing.get_type_hints(cls)
+    kwargs = {f.name: _coerce(context, f.name, types[f.name], ent[f.name]) for f in fields(cls) if f.name not in given}
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _parse_spec_entry(cls, raw, context: str, default_id: str, default_seed: int):
+    """(id, spec) for a generated entry, (id, path) for a file entry."""
+    ent = _take(raw, context, (), {"id": default_id, "file": None, **_spec_defaults(cls), "seed": None})
+    ident = str(ent["id"])
+    if ent["file"] is not None:
+        return ident, str(ent["file"])
+    if ent["family"] is None:
+        raise ConfigError(f"{context}: need either 'file' or 'family'")
+    if ent["seed"] is None:
+        ent["seed"] = default_seed
+    return ident, _build_spec(cls, ent, context)
+
+
+def _parse_space_entry(raw, index, default_seed):
+    return _parse_spec_entry(SpaceSpec, raw, f"spaces[{index}]", f"space{index}", default_seed)
 
 
 def _parse_function_entry(raw, index, default_seed):
-    ent = _take(
-        raw,
-        f"functions[{index}]",
-        (),
-        {
-            "id": f"fn{index}",
-            "file": None,
-            "family": None,
-            "value": 1.0,
-            "center": 0,
-            "radius": 0.0,
-            "beta": 1.0,
-            "cap": 100.0,
-            "density": 0.25,
-            "seed": None,
-        },
-    )
-    fid = str(ent["id"])
-    if ent["file"] is not None:
-        return fid, str(ent["file"])
-    if ent["family"] is None:
-        raise ConfigError(f"functions[{index}]: need either 'file' or 'family'")
-    seed = default_seed if ent["seed"] is None else int(ent["seed"])
-    try:
-        spec = FunctionSpec(
-            family=str(ent["family"]),
-            value=float(ent["value"]),
-            center=int(ent["center"]),
-            radius=float(ent["radius"]),
-            beta=float(ent["beta"]),
-            cap=float(ent["cap"]),
-            density=float(ent["density"]),
-            seed=seed,
-        )
-    except InvalidSpec as exc:
-        raise ConfigError(f"functions[{index}]: {exc}") from exc
-    return fid, spec
+    return _parse_spec_entry(FunctionSpec, raw, f"functions[{index}]", f"fn{index}", default_seed)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -181,13 +147,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raw,
         "config",
         ("spaces", "functions", "exponents", "checks"),
-        {
-            "seed": 0,
-            "gamma_grid": {"lo": 1e-3, "hi": 1e3, "count": 25},
-            "output_dir": "morrey-lab-out",
-        },
+        {"seed": 0, "gamma_grid": {}, "output_dir": "morrey-lab-out"},
     )
-    seed = int(top["seed"])
+    seed = _coerce("config", "seed", int, top["seed"])
     spaces = [_parse_space_entry(s, i, rng.u64(seed, 1, i) >> 1) for i, s in enumerate(top["spaces"])]
     functions = [
         _parse_function_entry(f, i, rng.u64(seed, 2, i) >> 1) for i, f in enumerate(top["functions"])
@@ -198,7 +160,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"exponents[{i}]: expected a [p, q, alpha] triple, got {triple!r}")
         try:
             exponents.append(ExponentSet.from_pqa(*(float(v) for v in triple)))
-        except ExponentOutOfRange as exc:
+        except (TypeError, ValueError) as exc:  # out of range, or not a number
             raise ConfigError(f"exponents[{i}] {list(triple)}: {exc}") from exc
 
     checks, estimates, sweeps = [], [], []
@@ -208,49 +170,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"checks[{i}]: unknown check id {item!r}")
             checks.append(item)
         elif isinstance(item, dict) and set(item) == {"estimate"}:
+            ctx = f"checks[{i}].estimate"
             ent = _take(
                 item["estimate"],
-                f"checks[{i}].estimate",
+                ctx,
                 ("check",),
-                {
-                    "space": None,
-                    "exponent": 0,
-                    "restarts": 8,
-                    "max_iters": 2000,
-                    "step_init": 1.5,
-                    "step_decay": 0.9,
-                    "stop_tol": 1e-6,
-                },
+                {"space": None, "exponent": 0, **_spec_defaults(OptimizerConfig, skip=("seed",))},
             )
             if ent["check"] not in CHECK_IDS:
-                raise ConfigError(f"checks[{i}].estimate: unknown check id {ent['check']!r}")
+                raise ConfigError(f"{ctx}: unknown check id {ent['check']!r}")
             estimates.append(
                 EstimateRequest(
                     check=ent["check"],
                     space=str(ent["space"]) if ent["space"] is not None else spaces[0][0],
-                    exponent=int(ent["exponent"]),
-                    optimizer=OptimizerConfig(
-                        seed=seed,
-                        restarts=int(ent["restarts"]),
-                        max_iters=int(ent["max_iters"]),
-                        step_init=float(ent["step_init"]),
-                        step_decay=float(ent["step_decay"]),
-                        stop_tol=float(ent["stop_tol"]),
-                    ),
+                    exponent=_coerce(ctx, "exponent", int, ent["exponent"]),
+                    optimizer=_build_spec(OptimizerConfig, ent, ctx, seed=seed),
                 )
             )
         elif isinstance(item, dict) and set(item) == {"sweep"}:
-            ent = _take(
-                item["sweep"],
-                f"checks[{i}].sweep",
-                ("alpha", "p"),
-                {"kappas": [1.0, 1.5, 2.0], "function": None},
-            )
+            ctx = f"checks[{i}].sweep"
+            ent = _take(item["sweep"], ctx, ("alpha", "p"), {"kappas": [1.0, 1.5, 2.0], "function": None})
             sweeps.append(
                 SweepRequest(
-                    alpha=float(ent["alpha"]),
-                    p=float(ent["p"]),
-                    kappas=tuple(float(k) for k in ent["kappas"]),
+                    alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
+                    p=_coerce(ctx, "p", float, ent["p"]),
+                    kappas=tuple(_coerce(ctx, "kappas", float, k) for k in ent["kappas"]),
                     function=str(ent["function"]) if ent["function"] is not None else functions[0][0],
                 )
             )
@@ -268,9 +212,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         checks=checks,
         estimates=estimates,
         sweeps=sweeps,
-        gamma_lo=float(gg["lo"]),
-        gamma_hi=float(gg["hi"]),
-        gamma_count=int(gg["count"]),
+        gamma_lo=_coerce("gamma_grid", "lo", float, gg["lo"]),
+        gamma_hi=_coerce("gamma_grid", "hi", float, gg["hi"]),
+        gamma_count=_coerce("gamma_grid", "count", int, gg["count"]),
         output_dir=str(top["output_dir"]),
         raw=raw,
     )
@@ -497,13 +441,11 @@ def _run_command(args, only=None) -> int:
     try:
         cfg = _load_config(args.config, args.seed)
         if only is not None:
-            cfg = ExperimentConfig(
-                **{
-                    **{f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)},
-                    "checks": cfg.checks if "checks" in only else [],
-                    "estimates": cfg.estimates if "estimates" in only else [],
-                    "sweeps": cfg.sweeps if "sweeps" in only else [],
-                }
+            cfg = replace(
+                cfg,
+                checks=cfg.checks if "checks" in only else [],
+                estimates=cfg.estimates if "estimates" in only else [],
+                sweeps=cfg.sweeps if "sweeps" in only else [],
             )
         log = None if args.quiet else sys.stderr
         report, code = run(cfg, base_dir=os.path.dirname(args.config) or ".", log=log)
@@ -562,7 +504,7 @@ def main(argv=None) -> int:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            _, spec = _parse_space_entry(raw, 0, int(raw.get("seed", 0)))
+            _, spec = _parse_space_entry(raw, 0, 0)  # seed 0 unless the spec sets one
             if isinstance(spec, str):
                 raise ConfigError("gen spec must be a generator family, not a file reference")
             space = generate_space(spec)

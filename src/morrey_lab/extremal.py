@@ -19,7 +19,7 @@ from . import rng
 from .functions import ExponentSet, morrey_norm
 from .operators import KernelConvention, fractional_integral, maximal
 from .space import MetricMeasureSpace
-from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, enumerate_balls, evaluate
+from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, enumerate_balls, evaluate, hedberg_ratio
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,8 @@ def kappa_sweep(
         f = np.abs(np.asarray(generate_function(space, spec), dtype=float))
         mf = maximal(space, f, 2.0)
         norm = morrey_norm(space, f, p, 1.0, 2.0)
-        denom = mf ** (1.0 - p * alpha) * norm ** (p * alpha)
         for kappa in kappas:
             pot = fractional_integral(space, f, alpha, KernelConvention(kappa=float(kappa)))
-            ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
-            rows.append(
-                {
-                    "instance": idx,
-                    "n": space.n,
-                    "kappa": float(kappa),
-                    "ratio": float(ratios.max()) if ratios.size else 0.0,
-                }
-            )
+            ratio = hedberg_ratio(pot, mf, norm, p, alpha)
+            rows.append({"instance": idx, "n": space.n, "kappa": float(kappa), "ratio": ratio})
     return rows

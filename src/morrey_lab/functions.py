@@ -95,19 +95,28 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
     return best
 
 
+def level_masses(space: MetricMeasureSpace, values: np.ndarray, mask: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """mu{x in mask : values(x) > gamma} for each gamma, via sorted cumsums."""
+    v = values[mask]
+    m = space.mass[mask]
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    tail = np.concatenate([np.cumsum(m[order][::-1])[::-1], [0.0]])
+    idx = np.searchsorted(v, gammas, side="right")
+    return tail[idx]
+
+
 def level_set_measure(space: MetricMeasureSpace, g, region, gamma: float) -> float:
     """mu{x in region : g(x) > gamma} (strict inequality)."""
     g = as_function(space, g)
-    mask = g > gamma
     if region is None:
-        sel = mask
+        sel = np.ones(space.n, dtype=bool)
     else:
-        sel = np.zeros(space.n, dtype=bool)
         idx = np.asarray(region) if isinstance(region, np.ndarray) else np.fromiter(region, dtype=int)
         if idx.dtype == bool:
-            sel = idx & mask
+            sel = idx
         else:
+            sel = np.zeros(space.n, dtype=bool)
             if idx.size:
                 sel[idx] = True
-            sel &= mask
-    return float(space.mass[sel].sum())
+    return float(level_masses(space, g, sel, np.array([gamma], dtype=float))[0])

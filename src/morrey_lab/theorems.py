@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import ExponentOutOfRange, ExponentSet, as_function, lq_norm, morrey_norm
+from .functions import ExponentOutOfRange, ExponentSet, as_function, level_masses, lq_norm, morrey_norm
 from .operators import KernelConvention, fractional_integral, hedberg_constant, maximal
 from .rng import shuffle_indices
 from .space import MetricMeasureSpace
@@ -81,74 +81,74 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     diam = space.diameter
     cap = diam if diam > 0.0 else 1.0
     pairs = []
-    seen = set()
     for a in range(space.n):
-        bps = np.unique(space.dist[a])
-        radii = np.unique(np.concatenate([bps * 0.5, bps, bps * 1.5]))
         if diam == 0.0:
             radii = np.array([1.0])
-        for r in radii:
-            r = float(min(r, cap))
-            if r <= 0.0:
-                continue
-            key = (a, r)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
+        else:
+            bps = np.unique(space.dist[a])
+            radii = np.unique(np.minimum(np.concatenate([bps * 0.5, bps, bps * 1.5]), cap))
+        pairs += [(a, r) for r in radii[radii > 0.0].tolist()]
     if len(pairs) > limit:
         keep = shuffle_indices(len(pairs), seed)[:limit]
         pairs = [pairs[i] for i in sorted(keep)]
     return pairs
 
 
-def _open_ball_mask(space: MetricMeasureSpace, a: int, r: float) -> np.ndarray:
-    return space.dist[a] < r
+def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_constant=None) -> list[CheckReport]:
+    """Level sets of ``values`` inside each ball B(a,r) of ``balls``: one
+    report per (ball, gamma), in order, with right side rhs(mu(B(a,6r)), gamma)."""
+    gammas = np.asarray(gammas, dtype=float)
+    out = []
+    for a, r in balls:
+        mask = space.dist[a] < r
+        if float(space.mass[mask].sum()) <= 0.0:
+            raise EmptyBall(f"ball({a}, {r}) has zero measure")
+        mu6 = float(space.open_measure(a, 6.0 * r))
+        lhs = level_masses(space, values, mask, gammas)
+        for g, l in zip(gammas, lhs):
+            out.append(
+                _make_report(
+                    check_id,
+                    {"a": a, "r": r, **params, "gamma": float(g)},
+                    l,
+                    rhs(mu6, g),
+                    theory_constant,
+                )
+            )
+    return out
 
 
-def _level_masses(space, values, mask, gammas) -> np.ndarray:
-    """mu{x in mask : values(x) > gamma} for each gamma, via sorted cumsums."""
-    v = values[mask]
-    m = space.mass[mask]
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    tail = np.concatenate([np.cumsum(m[order][::-1])[::-1], [0.0]])
-    idx = np.searchsorted(v, gammas, side="right")
-    return tail[idx]
+def _t1_reports(space, mf, norm, balls, p, gammas) -> list[CheckReport]:
+    def rhs(mu6, g):
+        return mu6 ** (1.0 - 1.0 / p) * norm / g
+
+    return _ball_reports(space, mf, balls, gammas, "T1", {"p": p}, rhs, theory_constant=4.0)
 
 
-def check_T1_weak_maximal(space, f, a: int, r: float, p: float, gammas, *, mf=None, norm=None) -> list[CheckReport]:
-    """Level sets of M_2 f inside B(a,r) against the 6r-ball Morrey bound,
-    explicit constant 4.
+def _t3_reports(space, pot, norm, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
+    sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
 
-    ``mf`` and ``norm`` accept precomputed M_2|f| and the (p,1,2) Morrey
-    norm of f, so sweeps over many balls pay for them once.
-    """
+    def rhs(mu6, g):
+        return mu6 ** (1.0 - 1.0 / exps.p) * (norm / g) ** sp
+
+    return _ball_reports(space, pot, balls, gammas, "T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, rhs)
+
+
+def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
+    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
+    6r-ball Morrey bound, explicit constant 4."""
     if not p > 1.0:
         raise ExponentOutOfRange(f"p must exceed 1, got {p}")
     f = np.abs(as_function(space, f))
-    mask = _open_ball_mask(space, a, r)
-    if float(space.mass[mask].sum()) <= 0.0:
-        raise EmptyBall(f"ball({a}, {r}) has zero measure")
-    if mf is None:
-        mf = maximal(space, f, 2.0)
-    if norm is None:
-        norm = morrey_norm(space, f, p, 1.0, 2.0)
-    mu6 = float(space.open_measure(a, 6.0 * r))
-    gammas = np.asarray(gammas, dtype=float)
-    lhs = _level_masses(space, mf, mask, gammas)
-    out = []
-    for g, l in zip(gammas, lhs):
-        rhs = mu6 ** (1.0 - 1.0 / p) * norm / g
-        out.append(
-            _make_report(
-                "T1",
-                {"a": a, "r": r, "p": p, "gamma": float(g)},
-                l,
-                rhs,
-                theory_constant=4.0,
-            )
-        )
-    return out
+    return _t1_reports(space, maximal(space, f, 2.0), morrey_norm(space, f, p, 1.0, 2.0), balls, p, gammas)
+
+
+def hedberg_ratio(pot, mf, norm: float, p: float, alpha: float) -> float:
+    """max_x pot(x) / (mf(x)^{1-p*alpha} norm^{p*alpha}); points where the
+    denominator vanishes count as 0."""
+    denom = mf ** (1.0 - p * alpha) * norm ** (p * alpha)
+    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return float(ratios.max()) if ratios.size else 0.0
 
 
 def check_T2_hedberg(space, f, p: float, alpha: float) -> CheckReport:
@@ -159,42 +159,16 @@ def check_T2_hedberg(space, f, p: float, alpha: float) -> CheckReport:
     pot = fractional_integral(space, f, alpha, KernelConvention(kappa=2.0))
     mf = maximal(space, f, 2.0)
     norm = morrey_norm(space, f, p, 1.0, 2.0)
-    denom = mf ** (1.0 - p * alpha) * norm ** (p * alpha)
-    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
-    lhs = float(ratios.max()) if ratios.size else 0.0
+    lhs = hedberg_ratio(pot, mf, norm, p, alpha)
     return _make_report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
 
 
-def check_T3_weak_frac(space, f, a: int, r: float, exps: ExponentSet, gammas, *, pot=None, norm=None) -> list[CheckReport]:
-    """Level sets of I_alpha f inside B(a,r); constant left abstract.
-
-    ``pot`` and ``norm`` accept precomputed I_alpha|f| (kappa=2, closed
-    kernel balls) and the (p,1,2) Morrey norm of f.
-    """
+def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
+    """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
+    ``balls``; constant left abstract."""
     f = np.abs(as_function(space, f))
-    mask = _open_ball_mask(space, a, r)
-    if float(space.mass[mask].sum()) <= 0.0:
-        raise EmptyBall(f"ball({a}, {r}) has zero measure")
-    if pot is None:
-        pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
-    if norm is None:
-        norm = morrey_norm(space, f, exps.p, 1.0, 2.0)
-    mu6 = float(space.open_measure(a, 6.0 * r))
-    sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
-    gammas = np.asarray(gammas, dtype=float)
-    lhs = _level_masses(space, pot, mask, gammas)
-    out = []
-    for g, l in zip(gammas, lhs):
-        rhs = mu6 ** (1.0 - 1.0 / exps.p) * (norm / g) ** sp
-        out.append(
-            _make_report(
-                "T3",
-                {"a": a, "r": r, "p": exps.p, "alpha": exps.alpha, "s": exps.s, "gamma": float(g)},
-                l,
-                rhs,
-            )
-        )
-    return out
+    pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+    return _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, gammas)
 
 
 def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:
@@ -230,7 +204,7 @@ def check_weak_L1(space, f, gammas) -> list[CheckReport]:
     mf = maximal(space, f, 2.0)
     l1 = lq_norm(space, f, 1.0)
     gammas = np.asarray(gammas, dtype=float)
-    lhs = _level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
+    lhs = level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
     out = []
     for g, l in zip(gammas, lhs):
         out.append(_make_report("weakL1", {"gamma": float(g)}, l, l1 / g))
@@ -253,9 +227,8 @@ def evaluate(
     This is the one dispatch over ``CHECK_IDS``.  For T1 and T3 the values
     shared by all balls (M_2|f|, I_alpha|f| at kappa=2, the (p,1,2) Morrey
     norm and the level grid) are computed once per function and exponent
-    triple and handed to the per-ball checkers.  The level grids span
-    [gamma_lo, gamma_hi] times the maximum of the operator whose level sets
-    are measured.
+    triple.  The level grids span [gamma_lo, gamma_hi] times the maximum of
+    the operator whose level sets are measured.
     """
     f = np.abs(as_function(space, f))
 
@@ -267,16 +240,11 @@ def evaluate(
         mf = maximal(space, f, 2.0)
         gam = levels(mf)
         for exps in exponents:
-            norm = morrey_norm(space, f, exps.p, 1.0, 2.0)
-            for a, r in balls:
-                out += check_T1_weak_maximal(space, f, a, r, exps.p, gam, mf=mf, norm=norm)
+            out += _t1_reports(space, mf, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps.p, gam)
     elif check_id == "T3":
         for exps in exponents:
             pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
-            gam = levels(pot)
-            norm = morrey_norm(space, f, exps.p, 1.0, 2.0)
-            for a, r in balls:
-                out += check_T3_weak_frac(space, f, a, r, exps, gam, pot=pot, norm=norm)
+            out += _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, levels(pot))
     elif check_id == "T2":
         out = [check_T2_hedberg(space, f, exps.p, exps.alpha) for exps in exponents]
     elif check_id == "T6":

@@ -113,11 +113,9 @@ def test_criterion_2_t1_constant_four(corpus, capsys):
             mf = maximal(sp, f, 2.0)
             gammas = gamma_grid(float(mf.max()))
             for p in P_GRID:
-                norm = morrey_norm(sp, f, p, 1.0, 2.0)
-                for a, r in balls:
-                    for rep in check_T1_weak_maximal(sp, f, a, r, p, gammas, mf=mf, norm=norm):
-                        assert rep.passed, (sid, fid, p, a, r, rep)
-                        records += 1
+                for rep in check_T1_weak_maximal(sp, f, balls, p, gammas):
+                    assert rep.passed, (sid, fid, p, rep)
+                    records += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     with capsys.disabled():
@@ -180,11 +178,9 @@ def test_criterion_4_existence_stability(capsys):
         ]
         for f in funcs:
             pot = fractional_integral(sp, f, exps.alpha, KernelConvention(kappa=2.0))
-            norm1 = morrey_norm(sp, f, exps.p, 1.0, 2.0)
             gammas = gamma_grid(float(pot.max()))
-            for a, r in balls:
-                for rep in check_T3_weak_frac(sp, f, a, r, exps, gammas, pot=pot, norm=norm1):
-                    consts["T3"] = max(consts["T3"], rep.empirical_constant)
+            for rep in check_T3_weak_frac(sp, f, balls, exps, gammas):
+                consts["T3"] = max(consts["T3"], rep.empirical_constant)
             consts["T6"] = max(consts["T6"], check_T6_strong(sp, f, exps).empirical_constant)
             consts["T7"] = max(consts["T7"], check_T7_maximal_morrey(sp, f, exps.p, exps.q).empirical_constant)
             mf = maximal(sp, f, 2.0)
@@ -264,13 +260,13 @@ def test_criterion_6_scaling_laws(capsys):
             pot = fractional_integral(sp, f, exps.alpha)
             for a, r in balls:
                 g1 = 0.4 * float(mf.max())
-                c = check_T1_weak_maximal(sp, f, a, r, exps.p, [g1])[0].empirical_constant
-                assert check_T1_weak_maximal(mass_sp, f, a, r, exps.p, [g1])[0].empirical_constant == pytest.approx(c, rel=1e-9)
-                assert check_T1_weak_maximal(metric_sp, f, a, lam * r, exps.p, [g1])[0].empirical_constant == pytest.approx(c, rel=1e-9)
+                c = check_T1_weak_maximal(sp, f, [(a, r)], exps.p, [g1])[0].empirical_constant
+                assert check_T1_weak_maximal(mass_sp, f, [(a, r)], exps.p, [g1])[0].empirical_constant == pytest.approx(c, rel=1e-9)
+                assert check_T1_weak_maximal(metric_sp, f, [(a, lam * r)], exps.p, [g1])[0].empirical_constant == pytest.approx(c, rel=1e-9)
                 g3 = 0.4 * float(pot.max())
-                c3 = check_T3_weak_frac(sp, f, a, r, exps, [g3])[0].empirical_constant
-                assert check_T3_weak_frac(mass_sp, f, a, r, exps, [lam**exps.alpha * g3])[0].empirical_constant == pytest.approx(c3, rel=1e-9)
-                assert check_T3_weak_frac(metric_sp, f, a, lam * r, exps, [g3])[0].empirical_constant == pytest.approx(c3, rel=1e-9)
+                c3 = check_T3_weak_frac(sp, f, [(a, r)], exps, [g3])[0].empirical_constant
+                assert check_T3_weak_frac(mass_sp, f, [(a, r)], exps, [lam**exps.alpha * g3])[0].empirical_constant == pytest.approx(c3, rel=1e-9)
+                assert check_T3_weak_frac(metric_sp, f, [(a, lam * r)], exps, [g3])[0].empirical_constant == pytest.approx(c3, rel=1e-9)
             cw = check_weak_L1(sp, f, [0.5 * float(mf.max())])[0].empirical_constant
             assert check_weak_L1(mass_sp, f, [0.5 * float(mf.max())])[0].empirical_constant == pytest.approx(cw, rel=1e-9)
             assert check_weak_L1(metric_sp, f, [0.5 * float(mf.max())])[0].empirical_constant == pytest.approx(cw, rel=1e-9)

@@ -6,6 +6,7 @@ import pytest
 
 from morrey_lab import cli
 from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file
+from morrey_lab.extremal import OptimizerConfig
 from morrey_lab.generators import SpaceSpec, generate_space
 
 BASE_CONFIG = {
@@ -47,6 +48,46 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    def test_estimate_rejects_seed(self):
+        raw = dict(BASE_CONFIG, checks=[{"estimate": {"check": "T6", "seed": 1}}])
+        with pytest.raises(ConfigError, match=r"checks\[0\]\.estimate: unknown keys \['seed'\]"):
+            parse_config(raw)
+
+    def test_entry_defaults_and_coercions(self):
+        raw = dict(
+            BASE_CONFIG,
+            spaces=[{"family": "grid", "n": "6", "seed": 3}],
+            functions=[{"family": "power-spike", "cap": 7}],
+            checks=[{"estimate": {"check": "T2", "restarts": 2.0}}],
+        )
+        cfg = parse_config(raw)
+        assert cfg.spaces == [("space0", SpaceSpec("grid", n=6, seed=3))]
+        fid, fspec = cfg.functions[0]
+        assert fid == "fn0" and fspec.cap == 7.0 and isinstance(fspec.cap, float)
+        (req,) = cfg.estimates
+        assert req.space == "space0" and req.exponent == 0
+        assert req.optimizer == OptimizerConfig(seed=5, restarts=2)
+
+
+class TestConfigErrorsExitTwo:
+    """Values a spec dataclass rejects or cannot coerce are config errors,
+    not tracebacks (exit 1 is reserved for a failed check)."""
+
+    def run_with(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, overrides)
+        code = cli.main(["--quiet", "run", cfg, "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_estimate_with_zero_restarts(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, {"checks": [{"estimate": {"check": "T6", "restarts": 0}}]})
+        assert code == 2
+        assert err.startswith("config error: checks[0].estimate:") and "restarts" in err
+
+    def test_space_with_null_n(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, {"spaces": [{"id": "g", "family": "grid", "n": None}]})
+        assert code == 2
+        assert err.startswith("config error: spaces[0]: 'n'")
+
 
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):
@@ -78,6 +119,13 @@ class TestSpaceFiles:
         assert cli.main(["validate", str(out)]) == 0
         sp = load_space_file(str(out))
         assert sp.total_mass == pytest.approx(1.0, rel=1e-12)
+
+    def test_gen_bad_spec_value_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        for bad in ({"seed": "x"}, {"n": None}):
+            spec.write_text(json.dumps({"family": "random-points", "n": 4, **bad}))
+            assert cli.main(["gen", str(spec), "-o", str(tmp_path / "space.json")]) == 2
+            assert capsys.readouterr().err.startswith("config error: spaces[0]:")
 
 
 class TestRun:
@@ -151,6 +199,22 @@ class TestRun:
         assert len(report["sweeps"]) == 1
         kappas = {row["kappa"] for row in report["sweeps"][0]["table"]}
         assert kappas == {1.0, 2.0}
+
+
+    def test_subcommands_fill_only_their_section(self, tmp_path):
+        checks = [
+            "T6",
+            {"estimate": {"check": "T6", "space": "g4", "restarts": 1, "max_iters": 8}},
+            {"sweep": {"alpha": 0.25, "p": 2.0, "kappas": [2.0], "function": "rough"}},
+        ]
+        cfg = write_config(tmp_path, {"checks": checks})
+        filled = {"check": "records", "estimate": "estimates", "sweep": "sweeps"}
+        for command, section in filled.items():
+            out = tmp_path / command
+            assert cli.main(["--quiet", command, cfg, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            for name in filled.values():
+                assert bool(report[name]) == (name == section), (command, name)
 
 
 class TestSharedWork:

@@ -73,10 +73,10 @@ class TestObjective:
         for a, r in enumerate_balls(space, limit=64, seed=seed):
             if check_id == "T1":
                 gam = gamma_grid(float(maximal(space, f, 2.0).max()))
-                reps = check_T1_weak_maximal(space, f, a, r, exps.p, gam)
+                reps = check_T1_weak_maximal(space, f, [(a, r)], exps.p, gam)
             else:
                 gam = gamma_grid(float(fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0)).max()))
-                reps = check_T3_weak_frac(space, f, a, r, exps, gam)
+                reps = check_T3_weak_frac(space, f, [(a, r)], exps, gam)
             for rep in reps:
                 best = max(best, rep.empirical_constant)
         return best

@@ -7,8 +7,9 @@ import pytest
 
 from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentSet
-from morrey_lab.generators import generate_function, generate_space
+from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import KernelConvention, fractional_integral, maximal
+from morrey_lab.rng import shuffle_indices
 from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import (
     CHECK_IDS,
@@ -59,24 +60,56 @@ class TestEnumeration:
         assert all(r <= diam for _, r in balls)
 
 
+    def test_matches_per_pair_loop(self):
+        """The per-center vectorized radii equal the per-pair loop with a
+        seen-set, which is kept here as the reference."""
+        def reference(space, limit, seed):
+            diam = space.diameter
+            cap = diam if diam > 0.0 else 1.0
+            pairs, seen = [], set()
+            for a in range(space.n):
+                bps = np.unique(space.dist[a])
+                radii = np.unique(np.concatenate([bps * 0.5, bps, bps * 1.5]))
+                if diam == 0.0:
+                    radii = np.array([1.0])
+                for r in radii:
+                    key = (a, float(min(r, cap)))
+                    if key[1] > 0.0 and key not in seen:
+                        seen.add(key)
+                        pairs.append(key)
+            if len(pairs) > limit:
+                pairs = [pairs[i] for i in sorted(shuffle_indices(len(pairs), seed)[:limit])]
+            return pairs
+
+        spaces = [
+            random_space(5, n=12),
+            generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
+            generate_space(SpaceSpec("ultrametric-tree", depth=3)),
+            generate_space(SpaceSpec("grid", n=1)),
+        ]
+        for sp in spaces:
+            for limit in (64, 10**9):
+                assert enumerate_balls(sp, limit, seed=2) == reference(sp, limit, seed=2)
+
+
 class TestT1:
     def test_single_point_passes(self):
         sp = single_point_space(mass=0.8)
         c, gamma, p = 2.0, 0.5, 2.0
-        (rep,) = check_T1_weak_maximal(sp, [c], 0, 1.0, p, [gamma])
+        (rep,) = check_T1_weak_maximal(sp, [c], [(0, 1.0)], p, [gamma])
         assert rep.lhs == pytest.approx(0.8)
         assert rep.rhs_without_constant == pytest.approx(0.8 * c / gamma, rel=1e-12)
         assert rep.passed
 
     def test_zero_function(self):
         sp = random_space(1)
-        reps = check_T1_weak_maximal(sp, np.zeros(sp.n), 0, 0.5, 2.0, [0.1, 1.0])
+        reps = check_T1_weak_maximal(sp, np.zeros(sp.n), [(0, 0.5)], 2.0, [0.1, 1.0])
         assert all(r.lhs == 0.0 and r.passed for r in reps)
 
     def test_empty_ball_rejected(self):
         sp = two_point_space()
         with pytest.raises(EmptyBall):
-            check_T1_weak_maximal(sp, [1.0, 0.0], 0, 0.0, 2.0, [1.0])
+            check_T1_weak_maximal(sp, [1.0, 0.0], [(0, 0.0)], 2.0, [1.0])
 
     def test_corpus_passes_with_constant_four(self):
         from morrey_lab.operators import maximal
@@ -85,8 +118,36 @@ class TestT1:
             mf = maximal(sp, f, 2.0)
             gammas = gamma_grid(float(mf.max()))
             for a, r in enumerate_balls(sp, limit=24, seed=0):
-                for rep in check_T1_weak_maximal(sp, f, a, r, 2.0, gammas):
+                for rep in check_T1_weak_maximal(sp, f, [(a, r)], 2.0, gammas):
                     assert rep.passed, rep
+
+
+class TestBallSets:
+    """A checker given a ball set reports every ball, in order, as if called
+    once per ball."""
+
+    @pytest.mark.parametrize("check_id", ["T1", "T3"])
+    def test_concatenation_of_single_ball_calls(self, check_id):
+        for sp, f in small_corpus():
+            balls = enumerate_balls(sp, limit=12, seed=4)
+            if check_id == "T1":
+                whole = check_T1_weak_maximal(sp, f, balls, 2.0, [0.05, 0.4, 1.5])
+                single = [rep for ball in balls for rep in check_T1_weak_maximal(sp, f, [ball], 2.0, [0.05, 0.4, 1.5])]
+            else:
+                whole = check_T3_weak_frac(sp, f, balls, EXPS, [0.05, 0.4, 1.5])
+                single = [rep for ball in balls for rep in check_T3_weak_frac(sp, f, [ball], EXPS, [0.05, 0.4, 1.5])]
+            assert len(whole) == 3 * len(balls)
+            assert whole == single
+
+    def test_any_empty_ball_raises(self):
+        sp = two_point_space()
+        for check in (
+            lambda balls: check_T1_weak_maximal(sp, [1.0, 0.5], balls, 2.0, [1.0]),
+            lambda balls: check_T3_weak_frac(sp, [1.0, 0.5], balls, EXPS, [1.0]),
+        ):
+            assert len(check([(0, 0.5), (1, 2.0)])) == 2
+            with pytest.raises(EmptyBall):
+                check([(0, 0.5), (1, 0.0), (1, 2.0)])
 
 
 class TestT2:
@@ -113,14 +174,14 @@ class TestT2:
 class TestT3:
     def test_zero_function(self):
         sp = random_space(3)
-        reps = check_T3_weak_frac(sp, np.zeros(sp.n), 0, 0.5, EXPS, [0.5, 2.0])
+        reps = check_T3_weak_frac(sp, np.zeros(sp.n), [(0, 0.5)], EXPS, [0.5, 2.0])
         assert all(r.lhs == 0.0 for r in reps)
 
     def test_single_point_formulas(self):
         m, c = 0.7, 2.0
         sp = single_point_space(mass=m)
         gamma = 0.5 * c * m**EXPS.alpha
-        (rep,) = check_T3_weak_frac(sp, [c], 0, 1.0, EXPS, [gamma])
+        (rep,) = check_T3_weak_frac(sp, [c], [(0, 1.0)], EXPS, [gamma])
         assert rep.lhs == pytest.approx(m)
         norm = c * m ** (1.0 / EXPS.p)
         expect = m ** (1.0 - 1.0 / EXPS.p) * (norm / gamma) ** (EXPS.s / EXPS.p)
@@ -133,8 +194,8 @@ class TestT3:
         balls = enumerate_balls(sp, limit=8, seed=1)
         gammas = [0.3, 1.1]
         for a, r in balls:
-            base = check_T3_weak_frac(sp, f, a, r, EXPS, gammas)
-            scaled = check_T3_weak_frac(sp, lam * f, a, r, EXPS, [lam * g for g in gammas])
+            base = check_T3_weak_frac(sp, f, [(a, r)], EXPS, gammas)
+            scaled = check_T3_weak_frac(sp, lam * f, [(a, r)], EXPS, [lam * g for g in gammas])
             for b, s in zip(base, scaled):
                 assert s.empirical_constant == pytest.approx(b.empirical_constant, rel=1e-9)
 
@@ -227,8 +288,8 @@ class TestScalingInvariance:
             check_T7_maximal_morrey(sp, f, 2.0, 1.5).empirical_constant, rel=1e-12
         )
         for a, r in enumerate_balls(sp, limit=6, seed=2):
-            base = check_T1_weak_maximal(sp, f, a, r, 2.0, [0.4])
-            sc = check_T1_weak_maximal(scaled, f, a, lam * r, 2.0, [0.4])
+            base = check_T1_weak_maximal(sp, f, [(a, r)], 2.0, [0.4])
+            sc = check_T1_weak_maximal(scaled, f, [(a, lam * r)], 2.0, [0.4])
             assert sc[0].empirical_constant == pytest.approx(base[0].empirical_constant, rel=1e-12)
 
     def test_function_scaling_t1_weakl1(self):
@@ -236,8 +297,8 @@ class TestScalingInvariance:
         f = np.random.default_rng(10).uniform(0, 1, sp.n)
         lam = 2.25
         for a, r in enumerate_balls(sp, limit=4, seed=3):
-            base = check_T1_weak_maximal(sp, f, a, r, 2.0, [0.3])
-            sc = check_T1_weak_maximal(sp, lam * f, a, r, 2.0, [lam * 0.3])
+            base = check_T1_weak_maximal(sp, f, [(a, r)], 2.0, [0.3])
+            sc = check_T1_weak_maximal(sp, lam * f, [(a, r)], 2.0, [lam * 0.3])
             assert sc[0].empirical_constant == pytest.approx(base[0].empirical_constant, rel=1e-12)
         b = check_weak_L1(sp, f, [0.3])[0].empirical_constant
         s = check_weak_L1(sp, lam * f, [lam * 0.3])[0].empirical_constant
@@ -252,12 +313,12 @@ def per_ball_reports(space, f, check_id, exponents, balls, lo, hi, count):
         if check_id == "T1":
             gam = gamma_grid(float(maximal(space, f, 2.0).max()), lo, hi, count)
             for a, r in balls:
-                out += check_T1_weak_maximal(space, f, a, r, exps.p, gam)
+                out += check_T1_weak_maximal(space, f, [(a, r)], exps.p, gam)
         elif check_id == "T3":
             pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
             gam = gamma_grid(float(pot.max()), lo, hi, count)
             for a, r in balls:
-                out += check_T3_weak_frac(space, f, a, r, exps, gam)
+                out += check_T3_weak_frac(space, f, [(a, r)], exps, gam)
         elif check_id == "T2":
             out.append(check_T2_hedberg(space, f, exps.p, exps.alpha))
         elif check_id == "T6":
