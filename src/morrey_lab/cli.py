@@ -99,6 +99,13 @@ class ExperimentConfig:
     raw: dict
 
 
+def _list(key: str, value) -> list:
+    """A config value that must be a list (a scalar would be iterated or crash)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def _coerce(context: str, key: str, kind, value):
     try:
         return kind(value)
@@ -150,6 +157,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         {"seed": 0, "gamma_grid": {}, "output_dir": "morrey-lab-out"},
     )
     seed = _coerce("config", "seed", int, top["seed"])
+    for key in ("spaces", "functions", "exponents", "checks"):
+        _list(key, top[key])
     spaces = [_parse_space_entry(s, i, rng.u64(seed, 1, i) >> 1) for i, s in enumerate(top["spaces"])]
     functions = [
         _parse_function_entry(f, i, rng.u64(seed, 2, i) >> 1) for i, f in enumerate(top["functions"])
@@ -194,7 +203,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 SweepRequest(
                     alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
                     p=_coerce(ctx, "p", float, ent["p"]),
-                    kappas=tuple(_coerce(ctx, "kappas", float, k) for k in ent["kappas"]),
+                    kappas=tuple(_coerce(ctx, "kappas", float, k) for k in _list(f"{ctx}.kappas", ent["kappas"])),
                     function=str(ent["function"]) if ent["function"] is not None else functions[0][0],
                 )
             )
@@ -303,8 +312,7 @@ def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
     out = []
     for sid, spec in cfg.spaces:
         if isinstance(spec, str):
-            path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-            out.append((sid, load_space_file(path)))
+            out.append((sid, load_space_file(os.path.join(base_dir, spec))))
         else:
             out.append((sid, generate_space(spec)))
     return out
@@ -314,8 +322,7 @@ def _materialize_functions(cfg: ExperimentConfig, space, base_dir: str):
     out = []
     for fid, spec in cfg.functions:
         if isinstance(spec, str):
-            path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-            values = load_function_file(path)
+            values = load_function_file(os.path.join(base_dir, spec))
             if values.shape != (space.n,):
                 out.append((fid, None))
                 continue
@@ -401,7 +408,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         "sweeps": sweeps,
         "verdict": {"pass": n_pass, "fail": n_fail, "errors": n_error},
     }
-    exit_code = 1 if n_fail > 0 else 0
+    exit_code = 1 if n_fail > 0 else 3 if n_error > 0 else 0
     return report, exit_code
 
 

@@ -56,19 +56,27 @@ def as_function(space: MetricMeasureSpace, values) -> np.ndarray:
     return f
 
 
+def _region_mask(space: MetricMeasureSpace, region) -> np.ndarray:
+    """A region as a bool mask over X: None is all of X, a bool array is the
+    mask itself, anything else is a set of point indices (repeats count once)."""
+    if region is None:
+        return np.ones(space.n, dtype=bool)
+    idx = region if isinstance(region, np.ndarray) else np.fromiter(region, dtype=int)
+    if idx.dtype == bool:
+        return idx
+    mask = np.zeros(space.n, dtype=bool)
+    if idx.size:
+        mask[idx] = True
+    return mask
+
+
 def lq_norm(space: MetricMeasureSpace, f, q: float, region=None) -> float:
     """(sum_{i in region} |f(x_i)|^q mass_i)^{1/q}; region defaults to X."""
     if q < 1.0:
         raise ExponentOutOfRange(f"q must be >= 1, got {q}")
     f = as_function(space, f)
     w = np.abs(f) ** q * space.mass
-    if region is not None:
-        idx = np.fromiter(region, dtype=int) if not isinstance(region, np.ndarray) else region
-        if idx.dtype == bool:
-            w = w[idx]
-        else:
-            w = w[idx] if idx.size else np.zeros(0)
-    return float(np.sum(w) ** (1.0 / q))
+    return float(np.sum(w[_region_mask(space, region)]) ** (1.0 / q))
 
 
 def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float = 1.0) -> float:
@@ -84,15 +92,8 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
     e = 1.0 / p - 1.0 / q  # <= 0
-    cum = space.cumulative(np.abs(f) ** q * space.mass)
-    best = 0.0
-    for x in range(space.n):
-        norm_mass = space.closed_measure(x, k * space.sorted_dist[x])
-        vals = norm_mass**e * cum[x] ** (1.0 / q) if e != 0.0 else cum[x] ** (1.0 / q)
-        m = float(vals.max())
-        if m > best:
-            best = m
-    return best
+    vals = space.dilated_measure(k) ** e * space.cumulative(np.abs(f) ** q * space.mass) ** (1.0 / q)
+    return float(vals.max(initial=0.0))
 
 
 def level_masses(space: MetricMeasureSpace, values: np.ndarray, mask: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -109,14 +110,4 @@ def level_masses(space: MetricMeasureSpace, values: np.ndarray, mask: np.ndarray
 def level_set_measure(space: MetricMeasureSpace, g, region, gamma: float) -> float:
     """mu{x in region : g(x) > gamma} (strict inequality)."""
     g = as_function(space, g)
-    if region is None:
-        sel = np.ones(space.n, dtype=bool)
-    else:
-        idx = np.asarray(region) if isinstance(region, np.ndarray) else np.fromiter(region, dtype=int)
-        if idx.dtype == bool:
-            sel = idx
-        else:
-            sel = np.zeros(space.n, dtype=bool)
-            if idx.size:
-                sel[idx] = True
-    return float(level_masses(space, g, sel, np.array([gamma], dtype=float))[0])
+    return float(level_masses(space, g, _region_mask(space, region), np.array([gamma], dtype=float))[0])

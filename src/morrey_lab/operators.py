@@ -50,12 +50,7 @@ def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
     if k < 1.0:
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
-    cum = space.cumulative(np.abs(f) * space.mass)
-    out = np.empty(space.n)
-    for x in range(space.n):
-        denom = space.closed_measure(x, k * space.sorted_dist[x])
-        out[x] = float((cum[x] / denom).max())
-    return out
+    return (space.cumulative(np.abs(f) * space.mass) / space.dilated_measure(k)).max(axis=1, initial=0.0)
 
 
 def fractional_integral(
@@ -69,20 +64,18 @@ def fractional_integral(
         raise ExponentOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
     f = as_function(space, f)
     fm = f * space.mass
+    if conv.diagonal == CLOSED_BALL:
+        km = np.empty((space.n, space.n))
+        np.put_along_axis(km, space.order, space.dilated_measure(conv.kappa), axis=1)  # back to natural order
+        return np.sum(fm * km ** (alpha - 1.0), axis=1)
     out = np.empty(space.n)
     for x in range(space.n):
         d = space.dist[x]
-        if conv.diagonal == CLOSED_BALL:
-            km = space.closed_measure(x, conv.kappa * d)
-            out[x] = float(np.sum(fm * km ** (alpha - 1.0)))
-        else:
-            mask = d > 0.0
-            km = space.open_measure(x, conv.kappa * d[mask])
-            if np.any(km <= 0.0):
-                raise DivisionByZeroKernel(
-                    f"open kernel ball has zero mass at x={x} in exclude-diagonal mode"
-                )
-            out[x] = float(np.sum(fm[mask] * km ** (alpha - 1.0)))
+        mask = d > 0.0
+        km = space.open_measure(x, conv.kappa * d[mask])
+        if np.any(km <= 0.0):
+            raise DivisionByZeroKernel(f"open kernel ball has zero mass at x={x} in exclude-diagonal mode")
+        out[x] = float(np.sum(fm[mask] * km ** (alpha - 1.0)))
     return out
 
 

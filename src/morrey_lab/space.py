@@ -70,6 +70,7 @@ class MetricMeasureSpace:
     order: np.ndarray = field(init=False, repr=False)
     sorted_dist: np.ndarray = field(init=False, repr=False)
     csum0: np.ndarray = field(init=False, repr=False)
+    _dilated: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
@@ -113,6 +114,15 @@ class MetricMeasureSpace:
         """mu(open ball(x, r)) for scalar or array radii."""
         idx = np.searchsorted(self.sorted_dist[x], radii, side="left")
         return self.csum0[x][idx]
+
+    def dilated_measure(self, k: float) -> np.ndarray:
+        """Read-only T[x, j] = mu(closed ball(x, k * sorted_dist[x, j])), built once per k."""
+        table = self._dilated.get(k)
+        if table is None:
+            table = np.array([self.closed_measure(x, k * self.sorted_dist[x]) for x in range(self.n)])
+            table.setflags(write=False)
+            self._dilated[k] = table
+        return table
 
     def cumulative(self, weights: np.ndarray) -> np.ndarray:
         """Row x, column j: sum of ``weights`` over the j+1 nearest points of x.

@@ -197,18 +197,17 @@ def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
     return _make_report("T7", {"p": p, "q": q}, lhs, rhs)
 
 
+def _weak_l1_reports(space, mf, l1, gammas) -> list[CheckReport]:
+    gammas = np.asarray(gammas, dtype=float)
+    lhs = level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
+    return [_make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
+
+
 def check_weak_L1(space, f, gammas) -> list[CheckReport]:
     """Global level sets of M_2 f against the L1 norm; report-only (the
     constant lives in the cited literature)."""
     f = np.abs(as_function(space, f))
-    mf = maximal(space, f, 2.0)
-    l1 = lq_norm(space, f, 1.0)
-    gammas = np.asarray(gammas, dtype=float)
-    lhs = level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
-    out = []
-    for g, l in zip(gammas, lhs):
-        out.append(_make_report("weakL1", {"gamma": float(g)}, l, l1 / g))
-    return out
+    return _weak_l1_reports(space, maximal(space, f, 2.0), lq_norm(space, f, 1.0), gammas)
 
 
 def evaluate(
@@ -252,7 +251,8 @@ def evaluate(
     elif check_id == "T7":
         out = [check_T7_maximal_morrey(space, f, exps.p, exps.q) for exps in exponents]
     elif check_id == "weakL1":
-        out = check_weak_L1(space, f, levels(maximal(space, f, 2.0)))
+        mf = maximal(space, f, 2.0)
+        out = _weak_l1_reports(space, mf, lq_norm(space, f, 1.0), levels(mf))
     else:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
     return out

@@ -89,6 +89,22 @@ class TestConfigErrorsExitTwo:
         assert err.startswith("config error: spaces[0]: 'n'")
 
 
+    @pytest.mark.parametrize(
+        "key,overrides",
+        [
+            ("spaces", {"spaces": 3}),
+            ("functions", {"functions": 3}),
+            ("exponents", {"exponents": 2.0}),
+            ("checks", {"checks": "T1"}),
+            ("checks[0].sweep.kappas", {"checks": [{"sweep": {"alpha": 0.25, "p": 2.0, "kappas": 2.0}}]}),
+        ],
+    )
+    def test_scalar_where_a_list_is_needed(self, tmp_path, capsys, key, overrides):
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {key}: expected a list")
+
+
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):
         sp = generate_space(SpaceSpec("random-points", n=7, dim=2, seed=3))
@@ -154,6 +170,21 @@ class TestRun:
         assert len(t6) == 2  # one per function
         for rec in t6:
             assert rec["empirical_constant"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_errored_records_exit_three(self, tmp_path):
+        (tmp_path / "nan.json").write_text(json.dumps([1.0, float("nan"), 1.0, 1.0]))
+        cfg = write_config(
+            tmp_path,
+            {
+                "functions": [{"id": "nan", "file": "nan.json"}],
+                "checks": ["T6", "T7"],
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        assert cli.main(["--quiet", "run", cfg]) == 3
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdict"] == {"pass": 0, "fail": 0, "errors": 2}
+        assert all("finite" in r["error"] for r in report["records"])
 
     def test_malformed_exponent_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"exponents": [[2.0, 1.5, 0.9]]})

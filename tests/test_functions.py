@@ -52,6 +52,11 @@ class TestLqNorm:
         sp = two_point_space(masses=(1.0, 2.0))
         assert lq_norm(sp, [3.0, 4.0], 1.0, region=[1]) == pytest.approx(8.0)
 
+    def test_region_is_a_set(self):
+        sp = two_point_space(masses=(1.0, 2.0))
+        for q in (1.0, 2.0):
+            assert lq_norm(sp, [1.0, 3.0], q, region=[0, 0]) == lq_norm(sp, [1.0, 3.0], q, region=[0])
+
 
 class TestMorreyNorm:
     def test_single_point(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
+from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.operators import (
     EXCLUDE_DIAGONAL,
     KernelConvention,
@@ -219,3 +220,88 @@ class TestLayerSum:
             norm = morrey_norm(sp, f, p, 1.0, 2.0)
             upper = hedberg_constant(p, alpha) * mf ** (1.0 - p * alpha) * norm ** (p * alpha)
             assert np.all(lsum <= upper * (1 + 1e-12))
+
+
+def loop_maximal(space, f, k):
+    """The per-point loop that ``maximal`` replaced, kept as the reference."""
+    cum = space.cumulative(np.abs(f) * space.mass)
+    out = np.empty(space.n)
+    for x in range(space.n):
+        denom = space.closed_measure(x, k * space.sorted_dist[x])
+        out[x] = float((cum[x] / denom).max())
+    return out
+
+
+def loop_morrey_norm(space, f, p, q, k):
+    """The per-point loop that ``morrey_norm`` replaced, kept as the reference."""
+    e = 1.0 / p - 1.0 / q
+    cum = space.cumulative(np.abs(f) ** q * space.mass)
+    best = 0.0
+    for x in range(space.n):
+        norm_mass = space.closed_measure(x, k * space.sorted_dist[x])
+        vals = norm_mass**e * cum[x] ** (1.0 / q) if e != 0.0 else cum[x] ** (1.0 / q)
+        m = float(vals.max())
+        if m > best:
+            best = m
+    return best
+
+
+def loop_fractional_integral(space, f, alpha, kappa):
+    """The per-point closed-ball loop that ``fractional_integral`` replaced."""
+    fm = f * space.mass
+    out = np.empty(space.n)
+    for x in range(space.n):
+        km = space.closed_measure(x, kappa * space.dist[x])
+        out[x] = float(np.sum(fm * km ** (alpha - 1.0)))
+    return out
+
+
+def table_spaces():
+    return [
+        *(random_space(seed) for seed in range(6)),
+        random_space(7, n=40),
+        generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
+        generate_space(SpaceSpec("ultrametric-tree", depth=3)),  # tied distances
+        generate_space(SpaceSpec("grid", n=1)),
+    ]
+
+
+class TestDilatedTable:
+    def test_operators_equal_per_point_loops_bitwise(self):
+        for i, sp in enumerate(table_spaces()):
+            g = np.random.default_rng(i + 500)
+            fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
+            for f in fs:
+                for k in (1.0, 2.0, 6.0):
+                    assert np.array_equal(maximal(sp, f, k), loop_maximal(sp, f, k))
+                    for p, q in ((2.0, 1.0), (4.0, 1.0), (2.0, 1.5), (4.0, 2.0), (2.0, 2.0), (4.0, 4.0)):
+                        assert morrey_norm(sp, f, p, q, k) == loop_morrey_norm(sp, f, p, q, k), (i, k, p, q)
+                for kappa in (1.0, 1.5, 2.0):
+                    for alpha in (0.125, 0.25, 0.5):
+                        got = fractional_integral(sp, f, alpha, KernelConvention(kappa=kappa))
+                        assert np.array_equal(got, loop_fractional_integral(sp, f, alpha, kappa)), (i, kappa)
+
+    def test_table_built_once_per_space_and_k(self, monkeypatch):
+        sp = generate_space(SpaceSpec("ultrametric-tree", depth=3))
+        f = np.random.default_rng(3).uniform(0.0, 2.0, sp.n)
+        calls = []
+        original = MetricMeasureSpace.closed_measure
+
+        def counted(self, x, radii):
+            calls.append(x)
+            return original(self, x, radii)
+
+        monkeypatch.setattr(MetricMeasureSpace, "closed_measure", counted)
+        maximal(sp, f, 2.0)
+        assert len(calls) == sp.n
+        morrey_norm(sp, f, 2.0, 1.0, 2.0)
+        fractional_integral(sp, f, 0.25, KernelConvention(kappa=2.0))
+        maximal(sp, 2.0 * f, 2.0)
+        assert len(calls) == sp.n
+        table = sp.dilated_measure(2.0)
+        assert table is sp.dilated_measure(2.0) and not table.flags.writeable
+        assert table.shape == (sp.n, sp.n)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        sp.dilated_measure(6.0)
+        assert len(calls) == 2 * sp.n

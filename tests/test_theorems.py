@@ -351,3 +351,17 @@ class TestEvaluate:
     def test_unknown_check_id(self):
         with pytest.raises(UnknownCheckId):
             evaluate(single_point_space(), [1.0], "T9", [EXPS], [(0, 1.0)])
+
+    def test_weak_l1_runs_maximal_once(self, monkeypatch):
+        from morrey_lab import theorems
+
+        calls = []
+
+        def counted(space, f, k=2.0):
+            calls.append(k)
+            return maximal(space, f, k)
+
+        monkeypatch.setattr(theorems, "maximal", counted)
+        sp = random_space(4)
+        got = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS], [])
+        assert calls == [2.0] and len(got) == 25
