@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import typing
@@ -24,7 +25,7 @@ from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
 from .functions import ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
-from .space import MetricMeasureSpace, find_violations, validate_space
+from .space import InvalidSpaceError, MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
@@ -213,6 +214,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not spaces or not functions or not (checks or estimates or sweeps):
         raise ConfigError("config needs at least one space, one function and one check")
     gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": 1e-3, "hi": 1e3, "count": 25})
+    gamma_lo = _coerce("gamma_grid", "lo", float, gg["lo"])
+    gamma_hi = _coerce("gamma_grid", "hi", float, gg["hi"])
+    gamma_count = _coerce("gamma_grid", "count", int, gg["count"])
+    if not (0.0 < gamma_lo < math.inf and 0.0 < gamma_hi < math.inf and gamma_count >= 1):
+        raise ConfigError(f"gamma_grid: need finite lo > 0, finite hi > 0 and count >= 1, got {gg}")
     return ExperimentConfig(
         seed=seed,
         spaces=spaces,
@@ -221,9 +227,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         checks=checks,
         estimates=estimates,
         sweeps=sweeps,
-        gamma_lo=_coerce("gamma_grid", "lo", float, gg["lo"]),
-        gamma_hi=_coerce("gamma_grid", "hi", float, gg["hi"]),
-        gamma_count=_coerce("gamma_grid", "count", int, gg["count"]),
+        gamma_lo=gamma_lo,
+        gamma_hi=gamma_hi,
+        gamma_count=gamma_count,
         output_dir=str(top["output_dir"]),
         raw=raw,
     )
@@ -301,18 +307,26 @@ def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig)
     for check in cfg.checks:
         try:
             reports = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
-        except Exception as exc:  # surfaced per record, run continues
+        except ValueError as exc:  # bad function values or exponents: surfaced per record, run continues
             rows.append(_error_row(check, space_id, function_id, f"{type(exc).__name__}: {exc}"))
             continue
         rows.extend(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}) for rep in reports)
     return rows
 
 
+def _read_input_file(load, path: str):
+    """``load(path)`` with an unreadable or invalid file as a config error."""
+    try:
+        return load(path)
+    except (OSError, TypeError, ValueError, InvalidSpaceError) as exc:
+        raise ConfigError(f"cannot use input file {path}: {exc}") from exc
+
+
 def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
     out = []
     for sid, spec in cfg.spaces:
         if isinstance(spec, str):
-            out.append((sid, load_space_file(os.path.join(base_dir, spec))))
+            out.append((sid, _read_input_file(load_space_file, os.path.join(base_dir, spec))))
         else:
             out.append((sid, generate_space(spec)))
     return out
@@ -322,7 +336,7 @@ def _materialize_functions(cfg: ExperimentConfig, space, base_dir: str):
     out = []
     for fid, spec in cfg.functions:
         if isinstance(spec, str):
-            values = load_function_file(os.path.join(base_dir, spec))
+            values = _read_input_file(load_function_file, os.path.join(base_dir, spec))
             if values.shape != (space.n,):
                 out.append((fid, None))
                 continue
@@ -499,7 +513,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             dist, mass = _read_space_doc(args.space_file)
-        except (OSError, ValueError, ConfigError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             print(f"cannot read space file: {exc}", file=sys.stderr)
             return 2
         violations = find_violations(dist, mass)

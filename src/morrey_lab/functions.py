@@ -96,18 +96,17 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
     return float(vals.max(initial=0.0))
 
 
-def level_masses(space: MetricMeasureSpace, values: np.ndarray, mask: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """mu{x in mask : values(x) > gamma} for each gamma, via sorted cumsums."""
-    v = values[mask]
-    m = space.mass[mask]
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    tail = np.concatenate([np.cumsum(m[order][::-1])[::-1], [0.0]])
-    idx = np.searchsorted(v, gammas, side="right")
-    return tail[idx]
+def level_masses(space: MetricMeasureSpace, values: np.ndarray, masks: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """mu{x in mask : values(x) > gamma} for each row of ``masks`` (axis 0) and
+    gamma (axis 1), via reverse cumsums over the values sorted once.  A point
+    outside a mask adds 0.0, which leaves every partial sum as it is."""
+    order = np.argsort(values, kind="stable")
+    weights = masks[:, order] * space.mass[order]
+    tail = np.concatenate([np.cumsum(weights[:, ::-1], axis=1)[:, ::-1], np.zeros((len(masks), 1))], axis=1)
+    return tail[:, np.searchsorted(values[order], gammas, side="right")]
 
 
 def level_set_measure(space: MetricMeasureSpace, g, region, gamma: float) -> float:
     """mu{x in region : g(x) > gamma} (strict inequality)."""
     g = as_function(space, g)
-    return float(level_masses(space, g, _region_mask(space, region), np.array([gamma], dtype=float))[0])
+    return float(level_masses(space, g, _region_mask(space, region)[None], np.array([gamma], dtype=float))[0, 0])

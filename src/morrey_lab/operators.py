@@ -86,6 +86,15 @@ def default_k_range(space: MetricMeasureSpace) -> tuple[int, int]:
     return lo, hi
 
 
+def _layer_table(space: MetricMeasureSpace, lo: int, hi: int, rows=slice(None)) -> np.ndarray:
+    """R[i, k - lo] = R_k(x) (see ``layer_radii``) for the points x = rows[i]
+    and lo <= k <= hi; the padded inf column stands for "no ball exceeds 2^k"."""
+    cs = space.csum0[rows, 1:]  # closed-ball mass at each sorted position
+    first_above = np.stack([np.count_nonzero(cs <= 2.0**k, axis=1) for k in range(lo, hi + 1)], axis=1)
+    sd = np.concatenate([space.sorted_dist[rows], np.full((len(cs), 1), math.inf)], axis=1)
+    return np.take_along_axis(sd, first_above, axis=1) / 2.0
+
+
 def layer_radii(space: MetricMeasureSpace, x: int, k_range: tuple[int, int] | None = None) -> dict[int, float]:
     """R_k(x): the smallest R with mu(B(x, 2R)) > 2^k, as a map k -> radius.
 
@@ -93,16 +102,8 @@ def layer_radii(space: MetricMeasureSpace, x: int, k_range: tuple[int, int] | No
     closed ball exceeds mass 2^k; infinity when the total mass never does.
     """
     space.check_index(x)
-    if k_range is None:
-        k_range = default_k_range(space)
-    lo, hi = k_range
-    sd = space.sorted_dist[x]
-    cs = space.csum0[x][1:]  # closed-ball mass at each sorted position
-    out: dict[int, float] = {}
-    for k in range(lo, hi + 1):
-        idx = int(np.searchsorted(cs, 2.0**k, side="right"))
-        out[k] = math.inf if idx >= space.n else float(sd[idx]) / 2.0
-    return out
+    lo, hi = default_k_range(space) if k_range is None else k_range
+    return dict(zip(range(lo, hi + 1), _layer_table(space, lo, hi, [x])[0].tolist()))
 
 
 def hedberg_constant(p: float, alpha: float) -> float:
@@ -135,22 +136,16 @@ def hedberg_layer_sum(space: MetricMeasureSpace, f, alpha: float) -> np.ndarray:
     f = as_function(space, f)
     absfm = np.abs(f) * space.mass
     lo, hi = default_k_range(space)
-    out = np.empty(space.n)
+    radii = _layer_table(space, lo, hi)
+    integrals = np.concatenate([np.zeros((space.n, 1)), space.cumulative(absfm)], axis=1)
+    rows = np.arange(space.n)
     total = float(absfm.sum())
-    for x in range(space.n):
-        sd = space.sorted_dist[x]
-        cf = np.concatenate([[0.0], np.cumsum(absfm[space.order[x]])])
-        radii = layer_radii(space, x, (lo, hi))
-        s = 0.0
-        prev = 0.0  # R_{lo-1} = 0 by the range choice
-        for k in range(lo, hi + 1):
-            rk = radii[k]
-            if prev < rk:
-                if math.isinf(rk):
-                    integral = total
-                else:
-                    integral = float(cf[np.searchsorted(sd, rk, side="left")])
-                s += 2.0 ** ((k - 1) * (alpha - 1.0)) * integral
-            prev = rk
-        out[x] = s
+    out = np.zeros(space.n)
+    prev = np.zeros(space.n)  # R_{lo-1} = 0 by the range choice
+    for k in range(lo, hi + 1):
+        rk = radii[:, k - lo]
+        inside = np.count_nonzero(space.sorted_dist < rk[:, None], axis=1)  # the open ball B(x, R_k)
+        integral = np.where(np.isinf(rk), total, integrals[rows, inside])
+        out += np.where(prev < rk, 2.0 ** ((k - 1) * (alpha - 1.0)) * integral, 0.0)
+        prev = rk
     return out

@@ -147,6 +147,9 @@ def find_violations(dist, mass) -> list[Violation]:
     if mass.shape != (n,):
         out.append(Violation("Shape", (mass.shape,)))
         return out
+    if n == 0:
+        out.append(Violation("Shape", ("no points",)))
+        return out
 
     for i in np.nonzero(np.diag(dist) != 0.0)[0]:
         out.append(Violation("NonzeroDiagonal", (int(i),)))
@@ -157,13 +160,14 @@ def find_violations(dist, mass) -> list[Violation]:
     for i, j in asym:
         if i < j:
             out.append(Violation("Asymmetry", (int(i), int(j))))
-    # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack
-    via = dist[:, :, None] + dist[None, :, :]  # via[i, j, k]
-    tol = TRIANGLE_RTOL * np.maximum(via, 1.0)
-    viol = dist[:, None, :] > via + tol
-    for i, j, k in np.argwhere(viol):
-        if i != j and j != k:
-            out.append(Violation("TriangleViolation", (int(i), int(j), int(k))))
+    # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack, one i
+    # at a time so that the temporaries stay n x n
+    for i in range(n):
+        via = dist[i][:, None] + dist  # via[j, k]
+        viol = dist[i][None, :] > via + TRIANGLE_RTOL * np.maximum(via, 1.0)
+        for j, k in np.argwhere(viol):
+            if i != j and j != k:
+                out.append(Violation("TriangleViolation", (i, int(j), int(k))))
     for i in np.nonzero(~(mass > 0.0))[0]:
         out.append(Violation("NonpositiveMass", (int(i),)))
     if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
@@ -214,16 +218,15 @@ def doubling_ratio(space: MetricMeasureSpace) -> tuple[float, tuple[int, float]]
     right-limit evaluation is attained on {0} u bp(x) u bp(x)/2 with closed
     balls.
     """
-    best = 1.0
-    witness = (0, 0.0)
-    for x in range(space.n):
-        bp = np.unique(space.dist[x])
-        cand = np.unique(np.concatenate([[0.0], bp, bp / 2.0]))
-        num = space.closed_measure(x, 2.0 * cand)
-        den = space.closed_measure(x, cand)
-        ratios = num / den  # den >= mass of x's zero-distance class > 0
-        j = int(np.argmax(ratios))
-        if ratios[j] > best:
-            best = float(ratios[j])
-            witness = (x, float(cand[j]))
-    return best, witness
+    # every denominator is at least the mass of x's zero-distance class > 0
+    at_bp = space.dilated_measure(2.0) / space.dilated_measure(1.0)  # r = sorted_dist[x, j]
+    at_half = space.dilated_measure(1.0) / space.dilated_measure(0.5)  # r = sorted_dist[x, j] / 2
+    row_max = np.maximum(at_bp.max(axis=1), at_half.max(axis=1))
+    best = float(row_max.max())
+    if not best > 1.0:
+        return 1.0, (0, 0.0)
+    # witness: the first point attaining the sup, at its smallest such radius
+    x = int(np.argmax(row_max == best))
+    sd = space.sorted_dist[x]
+    r = min(np.where(at_bp[x] == best, sd, np.inf).min(), np.where(at_half[x] == best, sd / 2.0, np.inf).min())
+    return best, (x, float(r))

@@ -98,24 +98,21 @@ def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_co
     """Level sets of ``values`` inside each ball B(a,r) of ``balls``: one
     report per (ball, gamma), in order, with right side rhs(mu(B(a,6r)), gamma)."""
     gammas = np.asarray(gammas, dtype=float)
-    out = []
-    for a, r in balls:
-        mask = space.dist[a] < r
-        if float(space.mass[mask].sum()) <= 0.0:
-            raise EmptyBall(f"ball({a}, {r}) has zero measure")
-        mu6 = float(space.open_measure(a, 6.0 * r))
-        lhs = level_masses(space, values, mask, gammas)
-        for g, l in zip(gammas, lhs):
-            out.append(
-                _make_report(
-                    check_id,
-                    {"a": a, "r": r, **params, "gamma": float(g)},
-                    l,
-                    rhs(mu6, g),
-                    theory_constant,
-                )
-            )
-    return out
+    centers = np.array([a for a, _ in balls], dtype=int)
+    radii = np.array([r for _, r in balls], dtype=float)
+    masks = space.dist[centers] < radii[:, None]
+    empty = np.flatnonzero(~masks.any(axis=1))  # masses are positive
+    if empty.size:
+        a, r = balls[empty[0]]
+        raise EmptyBall(f"ball({a}, {r}) has zero measure")
+    inside6 = np.count_nonzero(space.dist[centers] < 6.0 * radii[:, None], axis=1)
+    mu6s = space.csum0[centers, inside6].tolist()  # mu(B(a, 6r))
+    lhs = level_masses(space, values, masks, gammas)
+    return [
+        _make_report(check_id, {"a": a, "r": r, **params, "gamma": float(g)}, l, rhs(mu6, g), theory_constant)
+        for (a, r), mu6, ball_lhs in zip(balls, mu6s, lhs)
+        for g, l in zip(gammas, ball_lhs)
+    ]
 
 
 def _t1_reports(space, mf, norm, balls, p, gammas) -> list[CheckReport]:
@@ -199,7 +196,7 @@ def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
 
 def _weak_l1_reports(space, mf, l1, gammas) -> list[CheckReport]:
     gammas = np.asarray(gammas, dtype=float)
-    lhs = level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
+    lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
     return [_make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.space import MetricMeasureSpace, validate_space
 
 
@@ -40,6 +41,28 @@ def random_space(seed: int, n: int | None = None) -> MetricMeasureSpace:
     dist = dist + dist.T
     mass = g.uniform(0.1, 2.0, size=n)
     return validate_space(dist, mass)
+
+
+def table_spaces():
+    return [
+        *(random_space(seed) for seed in range(6)),
+        random_space(7, n=40),
+        generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
+        generate_space(SpaceSpec("ultrametric-tree", depth=3)),  # tied distances
+        generate_space(SpaceSpec("grid", n=1)),
+    ]
+
+
+def reference_spaces():
+    """The spaces on which vectorized code must equal the loops it replaced:
+    ``table_spaces()``, the Gaussian grid (151 dyadic layers), one point and
+    two points."""
+    return [
+        *table_spaces(),
+        generate_space(SpaceSpec("gaussian-grid", n=256, dim=1, halfwidth=10.0)),
+        single_point_space(mass=0.3),
+        two_point_space(masses=(1.0, 3.0)),
+    ]
 
 
 def radius_grid(space: MetricMeasureSpace, x: int, count: int = 10_000) -> np.ndarray:

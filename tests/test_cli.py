@@ -104,6 +104,42 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith(f"config error: {key}: expected a list")
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"lo": -1, "hi": -0.001},  # every T1 record would fail
+            {"count": 0},  # T1, T3 and weakL1 would write no records
+            {"lo": 0},  # every level-set check would error
+            {"count": -1},
+            {"hi": float("inf")},
+            {"lo": float("nan")},
+        ],
+    )
+    def test_bad_gamma_grid(self, tmp_path, capsys, grid):
+        code, err = self.run_with(tmp_path, capsys, {"gamma_grid": grid})
+        assert code == 2
+        assert err.startswith("config error: gamma_grid: need finite lo > 0")
+
+    @pytest.mark.parametrize(
+        "kind,name,content",
+        [
+            ("spaces", "missing.json", None),
+            ("spaces", "words.json", {"n": 2, "dist": ["a", "b", "c", "d"], "mass": [1, 1]}),
+            ("spaces", "object.json", {"n": [2], "dist": [0, 1, 1, 0], "mass": [1, 1]}),
+            ("spaces", "triangle.json", {"n": 3, "dist": [0, 1, 5, 1, 0, 1, 5, 1, 0], "mass": [1, 1, 1]}),
+            ("spaces", "empty.json", {"n": 0, "dist": [], "mass": []}),
+            ("functions", "missing.json", None),
+            ("functions", "words.json", ["a", "b", "c", "d"]),
+            ("functions", "object.json", {"values": [1, 2, 3, 4]}),
+        ],
+    )
+    def test_bad_input_file(self, tmp_path, capsys, kind, name, content):
+        if content is not None:
+            (tmp_path / name).write_text(json.dumps(content))
+        code, err = self.run_with(tmp_path, capsys, {kind: [{"id": "x", "file": name}]})
+        assert code == 2
+        assert err.startswith(f"config error: cannot use input file {tmp_path / name}")
+
 
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):
@@ -124,6 +160,18 @@ class TestSpaceFiles:
     def test_validate_unreadable_exits_two(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"n": 2, "dist": [0, 1, 1], "mass": [1, 1]}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot read space file" in capsys.readouterr().err
+
+    def test_validate_rejects_empty_space(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "dist": [], "mass": []}))
+        assert cli.main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == "Shape('no points',)\n"
+
+    def test_validate_non_numeric_count_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "object.json"
+        path.write_text(json.dumps({"n": [2], "dist": [0, 1, 1, 0], "mass": [1, 1]}))
         assert cli.main(["validate", str(path)]) == 2
         assert "cannot read space file" in capsys.readouterr().err
 
@@ -185,6 +233,14 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdict"] == {"pass": 0, "fail": 0, "errors": 2}
         assert all("finite" in r["error"] for r in report["records"])
+
+    def test_program_errors_are_not_records(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            cli.run(parse_config(BASE_CONFIG))
 
     def test_malformed_exponent_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"exponents": [[2.0, 1.5, 0.9]]})
@@ -279,9 +335,9 @@ class TestSharedWork:
         assert len(set(calls["enumerate_balls"])) == n_spaces
         assert calls["maximal"] and calls["fractional_integral"]
         for space_id in set(calls["enumerate_balls"]):
-            # T1 and weakL1: once each per function, plus weakL1's checker;
-            # T2 and T7: once per exponent triple
-            assert calls["maximal"].count(space_id) <= n_functions * (3 + 2 * n_exps)
+            # T1 and weakL1: once each per function; T2 and T7: once per
+            # exponent triple
+            assert calls["maximal"].count(space_id) <= n_functions * (2 + 2 * n_exps)
             # T2, T3 and T6: once per exponent triple
             assert calls["fractional_integral"].count(space_id) <= n_functions * 3 * n_exps
 

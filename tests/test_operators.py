@@ -17,7 +17,14 @@ from morrey_lab.operators import (
 )
 from morrey_lab.space import MetricMeasureSpace
 
-from conftest import brute_maximal, random_space, single_point_space, two_point_space
+from conftest import (
+    brute_maximal,
+    random_space,
+    reference_spaces,
+    single_point_space,
+    table_spaces,
+    two_point_space,
+)
 
 
 class TestMaximal:
@@ -256,16 +263,6 @@ def loop_fractional_integral(space, f, alpha, kappa):
     return out
 
 
-def table_spaces():
-    return [
-        *(random_space(seed) for seed in range(6)),
-        random_space(7, n=40),
-        generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
-        generate_space(SpaceSpec("ultrametric-tree", depth=3)),  # tied distances
-        generate_space(SpaceSpec("grid", n=1)),
-    ]
-
-
 class TestDilatedTable:
     def test_operators_equal_per_point_loops_bitwise(self):
         for i, sp in enumerate(table_spaces()):
@@ -305,3 +302,58 @@ class TestDilatedTable:
             table[0, 0] = 0.0
         sp.dilated_measure(6.0)
         assert len(calls) == 2 * sp.n
+
+
+def loop_layer_radii(space, x, k_range=None):
+    """The per-point loop that ``layer_radii`` replaced, kept as the reference."""
+    lo, hi = default_k_range(space) if k_range is None else k_range
+    sd = space.sorted_dist[x]
+    cs = space.csum0[x][1:]
+    out = {}
+    for k in range(lo, hi + 1):
+        idx = int(np.searchsorted(cs, 2.0**k, side="right"))
+        out[k] = math.inf if idx >= space.n else float(sd[idx]) / 2.0
+    return out
+
+
+def loop_hedberg_layer_sum(space, f, alpha):
+    """The per-point loop that ``hedberg_layer_sum`` replaced, kept as the reference."""
+    absfm = np.abs(f) * space.mass
+    lo, hi = default_k_range(space)
+    out = np.empty(space.n)
+    total = float(absfm.sum())
+    for x in range(space.n):
+        sd = space.sorted_dist[x]
+        cf = np.concatenate([[0.0], np.cumsum(absfm[space.order[x]])])
+        radii = loop_layer_radii(space, x, (lo, hi))
+        s = 0.0
+        prev = 0.0
+        for k in range(lo, hi + 1):
+            rk = radii[k]
+            if prev < rk:
+                if math.isinf(rk):
+                    integral = total
+                else:
+                    integral = float(cf[np.searchsorted(sd, rk, side="left")])
+                s += 2.0 ** ((k - 1) * (alpha - 1.0)) * integral
+            prev = rk
+        out[x] = s
+    return out
+
+
+class TestLayerTable:
+    def test_layers_equal_per_point_loops_bitwise(self):
+        for i, sp in enumerate(reference_spaces()):
+            lo, hi = default_k_range(sp)
+            for k_range in (None, (lo - 2, hi + 2), (-3, 3)):
+                for x in range(sp.n):
+                    assert layer_radii(sp, x, k_range) == loop_layer_radii(sp, x, k_range), (i, k_range, x)
+            g = np.random.default_rng(i + 700)
+            fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
+            for f in fs:
+                for alpha in (0.125, 0.25, 0.5):
+                    assert np.array_equal(hedberg_layer_sum(sp, f, alpha), loop_hedberg_layer_sum(sp, f, alpha)), (i, alpha)
+
+    def test_reference_gaussian_grid_has_151_layers(self):
+        lo, hi = default_k_range(generate_space(SpaceSpec("gaussian-grid", n=256, dim=1, halfwidth=10.0)))
+        assert hi - lo + 1 == 151

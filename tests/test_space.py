@@ -4,9 +4,11 @@ import pytest
 from morrey_lab.space import (
     CLOSED,
     OPEN,
+    TRIANGLE_RTOL,
     BallSpec,
     IndexOutOfRange,
     InvalidSpaceError,
+    Violation,
     ball_measure,
     ball_members,
     breakpoints,
@@ -15,7 +17,14 @@ from morrey_lab.space import (
     validate_space,
 )
 
-from conftest import brute_doubling, line_space, random_space, single_point_space, two_point_space
+from conftest import (
+    brute_doubling,
+    line_space,
+    random_space,
+    reference_spaces,
+    single_point_space,
+    two_point_space,
+)
 
 
 class TestValidate:
@@ -183,3 +192,96 @@ class TestEngulfing:
                                     assert inner <= doubled
                                     checked += 1
             assert checked > 0
+
+
+def loop_doubling_ratio(space):
+    """The per-point loop that ``doubling_ratio`` replaced, kept as the reference."""
+    best = 1.0
+    witness = (0, 0.0)
+    for x in range(space.n):
+        bp = np.unique(space.dist[x])
+        cand = np.unique(np.concatenate([[0.0], bp, bp / 2.0]))
+        ratios = space.closed_measure(x, 2.0 * cand) / space.closed_measure(x, cand)
+        j = int(np.argmax(ratios))
+        if ratios[j] > best:
+            best = float(ratios[j])
+            witness = (x, float(cand[j]))
+    return best, witness
+
+
+def cube_find_violations(dist, mass):
+    """The n^3-memory ``find_violations`` (one via[i, j, k] array), kept as
+    the reference for the row-at-a-time triangle check."""
+    dist = np.asarray(dist, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    out = []
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        return [Violation("Shape", (dist.shape,))]
+    n = dist.shape[0]
+    if mass.shape != (n,):
+        return [Violation("Shape", (mass.shape,))]
+    for i in np.nonzero(np.diag(dist) != 0.0)[0]:
+        out.append(Violation("NonzeroDiagonal", (int(i),)))
+    for i, j in np.argwhere(dist < 0.0):
+        out.append(Violation("NegativeDistance", (int(i), int(j))))
+    for i, j in np.argwhere(dist != dist.T):
+        if i < j:
+            out.append(Violation("Asymmetry", (int(i), int(j))))
+    via = dist[:, :, None] + dist[None, :, :]
+    tol = TRIANGLE_RTOL * np.maximum(via, 1.0)
+    for i, j, k in np.argwhere(dist[:, None, :] > via + tol):
+        if i != j and j != k:
+            out.append(Violation("TriangleViolation", (int(i), int(j), int(k))))
+    for i in np.nonzero(~(mass > 0.0))[0]:
+        out.append(Violation("NonpositiveMass", (int(i),)))
+    if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
+        out.append(Violation("Shape", ("non-finite entries",)))
+    return out
+
+
+class TestTables:
+    def test_doubling_ratio_equals_per_point_loop(self):
+        for i, sp in enumerate(reference_spaces()):
+            ratio, (x, r) = doubling_ratio(sp)
+            want_ratio, (want_x, want_r) = loop_doubling_ratio(sp)
+            assert (ratio, x, r) == (want_ratio, want_x, want_r), i
+            assert type(ratio) is float and type(x) is int and type(r) is float
+
+    def test_violations_equal_cube_version(self):
+        g = np.random.default_rng(11)
+        inputs = [
+            ([[0.0, 1.0, 2.0]], [1.0]),  # not square
+            ([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0, 1.0]),  # mass of the wrong length
+            ([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]], [1.0, 1.0, 1.0]),
+        ]
+        for seed in range(40):
+            sp = random_space(seed)
+            dist, mass = sp.dist.copy(), sp.mass.copy()
+            i, j = g.integers(0, sp.n, size=2)
+            kind = seed % 8
+            if kind == 1:
+                dist[i, j] *= 3.0  # asymmetry, usually a triangle violation too
+            elif kind == 2:
+                dist[i, j] = dist[j, i] = 10.0 * dist[i, j] + 5.0
+            elif kind == 3:
+                dist[i, j] = -0.5
+            elif kind == 4:
+                dist[i, i] = 0.25
+            elif kind == 5:
+                mass[i] = -mass[i] if seed % 16 == 5 else 0.0
+            elif kind == 6:
+                dist[i, j] = np.nan if seed % 16 == 6 else np.inf
+            elif kind == 7:
+                dist = dist * (1.0 + 1e-13 * g.standard_normal(dist.shape))  # ulps near the slack
+            inputs.append((dist, mass))
+        n_invalid = 0
+        for dist, mass in inputs:
+            got = find_violations(dist, mass)
+            assert got == cube_find_violations(dist, mass)
+            n_invalid += bool(got)
+        assert n_invalid >= 30
+
+    def test_empty_space_is_a_shape_violation(self):
+        assert find_violations(np.zeros((0, 0)), np.zeros(0)) == [Violation("Shape", ("no points",))]
+        with pytest.raises(InvalidSpaceError):
+            validate_space(np.zeros((0, 0)), np.zeros(0))

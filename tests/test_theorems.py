@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from morrey_lab import theorems
 from morrey_lab.cli import parse_config
-from morrey_lab.functions import ExponentSet
+from morrey_lab.functions import ExponentSet, _region_mask, level_set_measure
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import KernelConvention, fractional_integral, maximal
 from morrey_lab.rng import shuffle_indices
@@ -26,7 +27,7 @@ from morrey_lab.theorems import (
     gamma_grid,
 )
 
-from conftest import random_space, single_point_space, two_point_space
+from conftest import random_space, reference_spaces, single_point_space, two_point_space
 
 EXPS = ExponentSet.from_pqa(2.0, 1.5, 0.25)
 
@@ -365,3 +366,82 @@ class TestEvaluate:
         sp = random_space(4)
         got = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS], [])
         assert calls == [2.0] and len(got) == 25
+
+
+def loop_level_masses(space, values, mask, gammas):
+    """The one-mask ``level_masses`` that the mask stack replaced, kept as the reference."""
+    v = values[mask]
+    m = space.mass[mask]
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    tail = np.concatenate([np.cumsum(m[order][::-1])[::-1], [0.0]])
+    return tail[np.searchsorted(v, gammas, side="right")]
+
+
+def loop_ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_constant=None):
+    """The per-ball loop that ``theorems._ball_reports`` replaced, kept as the reference."""
+    gammas = np.asarray(gammas, dtype=float)
+    out = []
+    for a, r in balls:
+        mask = space.dist[a] < r
+        if float(space.mass[mask].sum()) <= 0.0:
+            raise EmptyBall(f"ball({a}, {r}) has zero measure")
+        mu6 = float(space.open_measure(a, 6.0 * r))
+        lhs = loop_level_masses(space, values, mask, gammas)
+        for g, l in zip(gammas, lhs):
+            params_g = {"a": a, "r": r, **params, "gamma": float(g)}
+            out.append(theorems._make_report(check_id, params_g, l, rhs(mu6, g), theory_constant))
+    return out
+
+
+def loop_weak_l1_reports(space, mf, l1, gammas):
+    """``theorems._weak_l1_reports`` on the one-mask level sets, kept as the reference."""
+    gammas = np.asarray(gammas, dtype=float)
+    lhs = loop_level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
+    return [theorems._make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
+
+
+class TestBallTables:
+    def test_reports_equal_per_ball_loop(self, monkeypatch):
+        for i, sp in enumerate(reference_spaces()):
+            balls = enumerate_balls(sp, limit=64, seed=i)
+            g = np.random.default_rng(i + 900)
+            fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
+            for f in fs:
+                mf = maximal(sp, f, 2.0)
+                pot = fractional_integral(sp, f, EXPS.alpha, KernelConvention(kappa=2.0))
+                # the level grid plus gammas equal to attained values (ties)
+                gam1 = np.concatenate([gamma_grid(float(mf.max())), mf[mf > 0.0][::5]])
+                gam3 = np.concatenate([gamma_grid(float(pot.max())), pot[pot > 0.0][::5]])
+
+                def reports():
+                    return (
+                        check_T1_weak_maximal(sp, f, balls, 2.0, gam1),
+                        check_T3_weak_frac(sp, f, balls, EXPS, gam3),
+                        check_weak_L1(sp, f, gam1),
+                    )
+
+                got = reports()
+                with monkeypatch.context() as m:
+                    m.setattr(theorems, "_ball_reports", loop_ball_reports)
+                    m.setattr(theorems, "_weak_l1_reports", loop_weak_l1_reports)
+                    want = reports()
+                assert [len(reps) for reps in got] == [len(reps) for reps in want]
+                assert got == want, i
+
+    def test_level_set_measure_equals_one_mask_loop(self):
+        for i, sp in enumerate(reference_spaces()):
+            g = np.random.default_rng(i + 950)
+            f = np.round(g.uniform(0.0, 3.0, sp.n), 1)  # repeated values
+            regions = [
+                None,
+                [],
+                g.integers(0, sp.n, size=sp.n).tolist(),  # repeats count once
+                g.uniform(size=sp.n) < 0.5,
+                sp.dist[0] < float(np.median(sp.dist[0])),
+            ]
+            for region in regions:
+                mask = _region_mask(sp, region)
+                for gamma in (-1.0, 0.0, *f[::3].tolist(), 1.25, 5.0):
+                    want = float(loop_level_masses(sp, f, mask, np.array([gamma]))[0])
+                    assert level_set_measure(sp, f, region, gamma) == want, (i, gamma)
