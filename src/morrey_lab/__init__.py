@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .functions import ExponentSet, lq_norm, morrey_norm, level_set_measure
 from .generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from .operators import (
-    KernelConvention,
     fractional_integral,
     hedberg_constant,
     hedberg_layer_sum,
@@ -36,7 +35,6 @@ __all__ = [
     "BallSpec",
     "ExponentSet",
     "FunctionSpec",
-    "KernelConvention",
     "MetricMeasureSpace",
     "SpaceSpec",
     "ball_measure",

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
-from .functions import ExponentSet
+from .functions import ExponentOutOfRange, ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .space import InvalidSpaceError, MetricMeasureSpace, find_violations, validate_space
-from .theorems import BALL_CHECKS, CHECK_IDS, enumerate_balls, evaluate
+from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
     "check_id",
@@ -213,7 +213,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     if not spaces or not functions or not (checks or estimates or sweeps):
         raise ConfigError("config needs at least one space, one function and one check")
-    gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": 1e-3, "hi": 1e3, "count": 25})
+    gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": GAMMA_LO, "hi": GAMMA_HI, "count": GAMMA_COUNT})
     gamma_lo = _coerce("gamma_grid", "lo", float, gg["lo"])
     gamma_hi = _coerce("gamma_grid", "hi", float, gg["hi"])
     gamma_count = _coerce("gamma_grid", "count", int, gg["count"])
@@ -336,10 +336,10 @@ def _materialize_functions(cfg: ExperimentConfig, space, base_dir: str):
     out = []
     for fid, spec in cfg.functions:
         if isinstance(spec, str):
-            values = _read_input_file(load_function_file, os.path.join(base_dir, spec))
+            path = os.path.join(base_dir, spec)
+            values = _read_input_file(load_function_file, path)
             if values.shape != (space.n,):
-                out.append((fid, None))
-                continue
+                raise ConfigError(f"cannot use input file {path}: need {space.n} values, got shape {values.shape}")
             out.append((fid, np.abs(values)))
         else:
             out.append((fid, generate_function(space, spec)))
@@ -369,10 +369,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     for sid, space in spaces:
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
         for fid, f in _materialize_functions(cfg, space, base_dir):
-            if f is None:
-                records.append(_error_row("", sid, fid, "FunctionShapeMismatch"))
-            else:
-                records += _pair_records(space, sid, f, fid, balls, cfg)
+            records += _pair_records(space, sid, f, fid, balls, cfg)
     # canonical order: report bytes do not depend on evaluation order
     records.sort(key=lambda r: tuple(_fmt(r.get(c, "")) for c in CSV_COLUMNS))
     say(f"collected {len(records)} check records")
@@ -403,7 +400,10 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         if fspec is None or isinstance(fspec, str):
             raise ConfigError(f"sweep needs a generated function spec, got {req.function!r}")
         ordered = [space for _, space in sorted(spaces, key=lambda kv: kv[1].n)]
-        rows = kappa_sweep(ordered, fspec, req.alpha, req.p, req.kappas)
+        try:
+            rows = kappa_sweep(ordered, fspec, req.alpha, req.p, req.kappas)
+        except ExponentOutOfRange as exc:
+            raise ConfigError(f"sweep (alpha={req.alpha}, p={req.p}, kappas={list(req.kappas)}): {exc}") from exc
         sweeps.append({"alpha": req.alpha, "p": req.p, "function_id": req.function, "table": rows})
     say(f"ran {len(sweeps)} kappa sweeps")
 

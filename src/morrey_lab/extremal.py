@@ -17,7 +17,8 @@ import numpy as np
 
 from . import rng
 from .functions import ExponentSet, morrey_norm
-from .operators import KernelConvention, fractional_integral, maximal
+from .generators import FunctionSpec, generate_function
+from .operators import fractional_integral, maximal
 from .space import MetricMeasureSpace
 from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, enumerate_balls, evaluate, hedberg_ratio
 
@@ -156,26 +157,24 @@ def estimate_constant(
 
 def kappa_sweep(
     spaces: list[MetricMeasureSpace],
-    f_specs,
+    f_spec: FunctionSpec,
     alpha: float,
     p: float,
     kappas,
 ) -> list[dict]:
-    """Hedberg-type ratio per (instance, kappa): the kernel dilation varies,
-    the maximal operator and the reference norm stay at dilation 2.
+    """Hedberg-type ratio per (instance, kappa) for the function ``f_spec``
+    generated on each space: the kernel dilation kappa varies, the maximal
+    operator and the reference norm stay at dilation 2.
 
     Report-only; kappa < 2 is the regime the theory does not cover.
     """
-    from .generators import generate_function
-
     rows = []
     for idx, space in enumerate(spaces):
-        spec = f_specs[idx] if isinstance(f_specs, (list, tuple)) else f_specs
-        f = np.abs(np.asarray(generate_function(space, spec), dtype=float))
+        f = np.abs(np.asarray(generate_function(space, f_spec), dtype=float))
         mf = maximal(space, f, 2.0)
         norm = morrey_norm(space, f, p, 1.0, 2.0)
         for kappa in kappas:
-            pot = fractional_integral(space, f, alpha, KernelConvention(kappa=float(kappa)))
+            pot = fractional_integral(space, f, alpha, kappa=float(kappa))
             ratio = hedberg_ratio(pot, mf, norm, p, alpha)
             rows.append({"instance": idx, "n": space.n, "kappa": float(kappa), "ratio": ratio})
     return rows

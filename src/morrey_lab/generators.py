@@ -96,13 +96,9 @@ def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
         n = 2**spec.depth
         idx = np.arange(n)
         # depth of the least common ancestor of two leaves = number of
-        # shared leading bits of their paths
+        # shared leading bits of their paths; frexp's exponent is bit_length
         xor = idx[:, None] ^ idx[None, :]
-        lca = np.zeros((n, n), dtype=int)
-        for i in range(n):
-            for j in range(n):
-                v = xor[i, j]
-                lca[i, j] = spec.depth - (v.item().bit_length())
+        lca = spec.depth - np.frexp(xor)[1]
         dist = np.where(xor == 0, 0.0, 2.0 ** (-lca.astype(float)))
         mass = np.ones(n)
         return validate_space(dist, mass)

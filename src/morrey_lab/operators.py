@@ -1,43 +1,17 @@
-"""The centered modified maximal operator, the fractional integral with a
-dilated-ball kernel, and the dyadic layer machinery behind the pointwise
-(Hedberg-type) domination of the potential by maximal-function powers.
+"""The centered modified maximal operator, the fractional integral with the
+dilated closed-ball kernel mu(B(x, kappa d(x,y)))^{alpha-1}, and the dyadic
+layer machinery behind the pointwise (Hedberg-type) domination of the
+potential by maximal-function powers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import ExponentOutOfRange, as_function
 from .space import MetricMeasureSpace
-
-CLOSED_BALL = "closed-ball"
-EXCLUDE_DIAGONAL = "exclude-diagonal"
-
-
-class DivisionByZeroKernel(ArithmeticError):
-    pass
-
-
-@dataclass(frozen=True)
-class KernelConvention:
-    """Kernel mass mu(B(x, kappa*d(x,y)))^{alpha-1}.
-
-    closed-ball: the ball is evaluated as the eps->0 right limit (closed),
-    so the diagonal term y=x contributes through the atom's own mass.
-    exclude-diagonal: drop y with d(x,y)=0 and use open balls.
-    """
-
-    kappa: float = 2.0
-    diagonal: str = CLOSED_BALL
-
-    def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ExponentOutOfRange(f"kappa must be positive, got {self.kappa}")
-        if self.diagonal not in (CLOSED_BALL, EXCLUDE_DIAGONAL):
-            raise ValueError(f"unknown diagonal mode {self.diagonal!r}")
 
 
 def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
@@ -53,30 +27,20 @@ def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
     return (space.cumulative(np.abs(f) * space.mass) / space.dilated_measure(k)).max(axis=1, initial=0.0)
 
 
-def fractional_integral(
-    space: MetricMeasureSpace,
-    f,
-    alpha: float,
-    conv: KernelConvention = KernelConvention(),
-) -> np.ndarray:
-    """I_alpha f(x) = sum_y f(y) mass_y mu(B(x, kappa*d(x,y)))^{alpha-1}."""
+def fractional_integral(space: MetricMeasureSpace, f, alpha: float, kappa: float = 2.0) -> np.ndarray:
+    """I_alpha f(x) = sum_y f(y) mass_y mu(B(x, kappa*d(x,y)))^{alpha-1}.
+
+    The kernel ball is the eps->0 right limit, the closed ball, so the
+    diagonal term y=x contributes through the atom's own mass.
+    """
     if not 0.0 < alpha < 1.0:
         raise ExponentOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
+    if not kappa > 0.0:
+        raise ExponentOutOfRange(f"kappa must be positive, got {kappa}")
     f = as_function(space, f)
-    fm = f * space.mass
-    if conv.diagonal == CLOSED_BALL:
-        km = np.empty((space.n, space.n))
-        np.put_along_axis(km, space.order, space.dilated_measure(conv.kappa), axis=1)  # back to natural order
-        return np.sum(fm * km ** (alpha - 1.0), axis=1)
-    out = np.empty(space.n)
-    for x in range(space.n):
-        d = space.dist[x]
-        mask = d > 0.0
-        km = space.open_measure(x, conv.kappa * d[mask])
-        if np.any(km <= 0.0):
-            raise DivisionByZeroKernel(f"open kernel ball has zero mass at x={x} in exclude-diagonal mode")
-        out[x] = float(np.sum(fm[mask] * km ** (alpha - 1.0)))
-    return out
+    km = np.empty((space.n, space.n))
+    np.put_along_axis(km, space.order, space.dilated_measure(kappa), axis=1)  # back to natural order
+    return np.sum(f * space.mass * km ** (alpha - 1.0), axis=1)
 
 
 def default_k_range(space: MetricMeasureSpace) -> tuple[int, int]:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import ExponentOutOfRange, ExponentSet, as_function, level_masses, lq_norm, morrey_norm
-from .operators import KernelConvention, fractional_integral, hedberg_constant, maximal
+from .operators import fractional_integral, hedberg_constant, maximal
 from .rng import shuffle_indices
 from .space import MetricMeasureSpace
 
 CHECK_IDS = ("T1", "T2", "T3", "T6", "T7", "weakL1")
 BALL_CHECKS = ("T1", "T3")  # the checks that quantify over enumerate_balls
+GAMMA_LO, GAMMA_HI, GAMMA_COUNT = 1e-3, 1e3, 25  # default level grid, relative to the operator's maximum
 
 
 class EmptyBall(ValueError):
@@ -64,7 +65,7 @@ def _make_report(check_id, params, lhs, rhs, theory_constant=None) -> CheckRepor
     )
 
 
-def gamma_grid(base: float, lo: float = 1e-3, hi: float = 1e3, count: int = 25) -> np.ndarray:
+def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: int = GAMMA_COUNT) -> np.ndarray:
     """Logarithmic level grid spanning [lo, hi] times the reference value."""
     if base <= 0.0 or not math.isfinite(base):
         base = 1.0
@@ -153,7 +154,7 @@ def check_T2_hedberg(space, f, p: float, alpha: float) -> CheckReport:
     explicit derived constant."""
     ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
     f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, alpha, KernelConvention(kappa=2.0))
+    pot = fractional_integral(space, f, alpha)
     mf = maximal(space, f, 2.0)
     norm = morrey_norm(space, f, p, 1.0, 2.0)
     lhs = hedberg_ratio(pot, mf, norm, p, alpha)
@@ -164,7 +165,7 @@ def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[Check
     """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
     ``balls``; constant left abstract."""
     f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+    pot = fractional_integral(space, f, exps.alpha)
     return _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, gammas)
 
 
@@ -172,7 +173,7 @@ def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:
     """Morrey norm of the potential on the (s, t, 6) scale against the
     (p, q, 2) norm of f."""
     f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+    pot = fractional_integral(space, f, exps.alpha)
     lhs = morrey_norm(space, pot, exps.s, exps.t, 6.0)
     rhs = morrey_norm(space, f, exps.p, exps.q, 2.0)
     return _make_report(
@@ -213,9 +214,9 @@ def evaluate(
     check_id: str,
     exponents,
     balls,
-    gamma_lo: float = 1e-3,
-    gamma_hi: float = 1e3,
-    gamma_count: int = 25,
+    gamma_lo: float = GAMMA_LO,
+    gamma_hi: float = GAMMA_HI,
+    gamma_count: int = GAMMA_COUNT,
 ) -> list[CheckReport]:
     """Every report of one check on one function: per exponent triple, and
     for the ball checks (``BALL_CHECKS``) per ball in ``balls``.
@@ -239,7 +240,7 @@ def evaluate(
             out += _t1_reports(space, mf, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps.p, gam)
     elif check_id == "T3":
         for exps in exponents:
-            pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+            pot = fractional_integral(space, f, exps.alpha)
             out += _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, levels(pot))
     elif check_id == "T2":
         out = [check_T2_hedberg(space, f, exps.p, exps.alpha) for exps in exponents]

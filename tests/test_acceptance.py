@@ -18,7 +18,6 @@ from morrey_lab.extremal import OptimizerConfig, estimate_constant, kappa_sweep,
 from morrey_lab.functions import ExponentSet, morrey_norm
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import (
-    KernelConvention,
     fractional_integral,
     hedberg_constant,
     hedberg_layer_sum,
@@ -140,7 +139,7 @@ def test_criterion_3_hedberg_with_derived_constant(corpus, capsys):
                 rep = check_T2_hedberg(sp, f, p, alpha)
                 assert rep.passed, (sid, fid, p, alpha, rep)
             for _, alpha in PA_PAIRS[:1]:
-                pot = fractional_integral(sp, f, alpha, KernelConvention(kappa=2.0))
+                pot = fractional_integral(sp, f, alpha)
                 lsum = hedberg_layer_sum(sp, f, alpha)
                 assert np.all(pot <= lsum * (1 + 1e-12)), (sid, fid)
                 for p2, a2 in PA_PAIRS:
@@ -177,7 +176,7 @@ def test_criterion_4_existence_stability(capsys):
             generate_function(sp, FunctionSpec("power-spike", center=0, beta=1.0, cap=100.0))
         ]
         for f in funcs:
-            pot = fractional_integral(sp, f, exps.alpha, KernelConvention(kappa=2.0))
+            pot = fractional_integral(sp, f, exps.alpha)
             gammas = gamma_grid(float(pot.max()))
             for rep in check_T3_weak_frac(sp, f, balls, exps, gammas):
                 consts["T3"] = max(consts["T3"], rep.empirical_constant)

@@ -105,6 +105,19 @@ class TestConfigErrorsExitTwo:
         assert err.startswith(f"config error: {key}: expected a list")
 
     @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"alpha": 0.25, "p": 2.0, "kappas": [0.0]},
+            {"alpha": 1.5, "p": 2.0},
+            {"alpha": 0.25, "p": 0.5},
+        ],
+    )
+    def test_bad_sweep_parameter(self, tmp_path, capsys, sweep):
+        code, err = self.run_with(tmp_path, capsys, {"checks": [{"sweep": sweep}]})
+        assert code == 2
+        assert err.startswith("config error: sweep (")
+
+    @pytest.mark.parametrize(
         "grid",
         [
             {"lo": -1, "hi": -0.001},  # every T1 record would fail
@@ -131,6 +144,7 @@ class TestConfigErrorsExitTwo:
             ("functions", "missing.json", None),
             ("functions", "words.json", ["a", "b", "c", "d"]),
             ("functions", "object.json", {"values": [1, 2, 3, 4]}),
+            ("functions", "short.json", [1, 2]),
         ],
     )
     def test_bad_input_file(self, tmp_path, capsys, kind, name, content):

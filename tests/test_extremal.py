@@ -10,7 +10,7 @@ from morrey_lab.extremal import (
 )
 from morrey_lab.functions import ExponentSet
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
-from morrey_lab.operators import KernelConvention, fractional_integral, maximal
+from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.theorems import (
     check_T1_weak_maximal,
     check_T2_hedberg,
@@ -75,7 +75,7 @@ class TestObjective:
                 gam = gamma_grid(float(maximal(space, f, 2.0).max()))
                 reps = check_T1_weak_maximal(space, f, [(a, r)], exps.p, gam)
             else:
-                gam = gamma_grid(float(fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0)).max()))
+                gam = gamma_grid(float(fractional_integral(space, f, exps.alpha).max()))
                 reps = check_T3_weak_frac(space, f, [(a, r)], exps, gam)
             for rep in reps:
                 best = max(best, rep.empirical_constant)

@@ -38,6 +38,16 @@ class TestSpaces:
                 for k in range(8):
                     assert d[i, k] <= max(d[i, j], d[j, k]) + 1e-15
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 8])
+    def test_ultrametric_tree_matches_bit_length_loop(self, depth):
+        n = 2**depth
+        lca = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            for j in range(n):
+                lca[i, j] = depth - (i ^ j).bit_length()
+        ref = np.where(lca == depth, 0.0, 2.0 ** (-lca.astype(float)))
+        assert np.array_equal(generate_space(SpaceSpec("ultrametric-tree", depth=depth)).dist, ref)
+
     def test_all_families_validate(self):
         specs = [
             SpaceSpec("grid", n=8, dim=1),

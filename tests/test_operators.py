@@ -6,8 +6,6 @@ import pytest
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.operators import (
-    EXCLUDE_DIAGONAL,
-    KernelConvention,
     default_k_range,
     fractional_integral,
     hedberg_constant,
@@ -126,20 +124,18 @@ class TestFractionalIntegral:
             fractional_integral(sp, g1 * g2, 0.25) <= fractional_integral(sp, g1, 0.25) * (1 + 1e-12)
         )
 
-    def test_exclude_diagonal_mode(self):
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_kappa_must_be_positive(self, kappa):
         sp = two_point_space()
-        conv = KernelConvention(kappa=2.0, diagonal=EXCLUDE_DIAGONAL)
-        out = fractional_integral(sp, [1.0, 1.0], 0.25, conv)
-        # only the opposite atom contributes; its open kernel ball B(x, 2)
-        # holds both atoms, so the kernel mass is 2
-        assert out[0] == pytest.approx(2.0 ** (0.25 - 1.0), rel=1e-14)
+        with pytest.raises(ExponentOutOfRange, match="kappa"):
+            fractional_integral(sp, [1.0, 1.0], 0.25, kappa=kappa)
 
     def test_kernel_monotone_in_kappa(self):
         sp = random_space(43)
         f = np.random.default_rng(9).uniform(0, 1, sp.n)
         prev = None
         for kappa in (0.5, 1.0, 2.0):
-            cur = fractional_integral(sp, f, 0.25, KernelConvention(kappa=kappa))
+            cur = fractional_integral(sp, f, 0.25, kappa=kappa)
             if prev is not None:
                 assert np.all(prev >= cur * (1 - 1e-12))
             prev = cur
@@ -220,7 +216,7 @@ class TestLayerSum:
         for seed in range(10):
             sp = random_space(seed)
             f = np.random.default_rng(seed + 300).uniform(0, 2, sp.n)
-            pot = fractional_integral(sp, f, alpha, KernelConvention(kappa=2.0))
+            pot = fractional_integral(sp, f, alpha)
             lsum = hedberg_layer_sum(sp, f, alpha)
             assert np.all(pot <= lsum * (1 + 1e-12))
             mf = maximal(sp, f, 2.0)
@@ -275,7 +271,7 @@ class TestDilatedTable:
                         assert morrey_norm(sp, f, p, q, k) == loop_morrey_norm(sp, f, p, q, k), (i, k, p, q)
                 for kappa in (1.0, 1.5, 2.0):
                     for alpha in (0.125, 0.25, 0.5):
-                        got = fractional_integral(sp, f, alpha, KernelConvention(kappa=kappa))
+                        got = fractional_integral(sp, f, alpha, kappa=kappa)
                         assert np.array_equal(got, loop_fractional_integral(sp, f, alpha, kappa)), (i, kappa)
 
     def test_table_built_once_per_space_and_k(self, monkeypatch):
@@ -292,7 +288,7 @@ class TestDilatedTable:
         maximal(sp, f, 2.0)
         assert len(calls) == sp.n
         morrey_norm(sp, f, 2.0, 1.0, 2.0)
-        fractional_integral(sp, f, 0.25, KernelConvention(kappa=2.0))
+        fractional_integral(sp, f, 0.25)
         maximal(sp, 2.0 * f, 2.0)
         assert len(calls) == sp.n
         table = sp.dilated_measure(2.0)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from morrey_lab.functions import morrey_norm
 from morrey_lab.operators import (
-    KernelConvention,
     fractional_integral,
     hedberg_constant,
     hedberg_layer_sum,
@@ -61,7 +60,7 @@ def test_doubling_ratio_bounds_every_ball_pair(sp, data):
 def test_layer_sum_between_potential_and_hedberg_bound(sp_f, pa):
     sp, f = sp_f
     p, alpha = pa
-    pot = fractional_integral(sp, f, alpha, KernelConvention(kappa=2.0))
+    pot = fractional_integral(sp, f, alpha)
     lsum = hedberg_layer_sum(sp, f, alpha)
     assert np.all(pot <= lsum * (1 + 1e-12))
     mf = maximal(sp, f, 2.0)

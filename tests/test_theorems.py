@@ -9,7 +9,7 @@ from morrey_lab import theorems
 from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentSet, _region_mask, level_set_measure
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
-from morrey_lab.operators import KernelConvention, fractional_integral, maximal
+from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import shuffle_indices
 from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import (
@@ -316,7 +316,7 @@ def per_ball_reports(space, f, check_id, exponents, balls, lo, hi, count):
             for a, r in balls:
                 out += check_T1_weak_maximal(space, f, [(a, r)], exps.p, gam)
         elif check_id == "T3":
-            pot = fractional_integral(space, f, exps.alpha, KernelConvention(kappa=2.0))
+            pot = fractional_integral(space, f, exps.alpha)
             gam = gamma_grid(float(pot.max()), lo, hi, count)
             for a, r in balls:
                 out += check_T3_weak_frac(space, f, [(a, r)], exps, gam)
@@ -409,7 +409,7 @@ class TestBallTables:
             fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
             for f in fs:
                 mf = maximal(sp, f, 2.0)
-                pot = fractional_integral(sp, f, EXPS.alpha, KernelConvention(kappa=2.0))
+                pot = fractional_integral(sp, f, EXPS.alpha)
                 # the level grid plus gammas equal to attained values (ties)
                 gam1 = np.concatenate([gamma_grid(float(mf.max())), mf[mf > 0.0][::5]])
                 gam3 = np.concatenate([gamma_grid(float(pot.max())), pot[pot > 0.0][::5]])
