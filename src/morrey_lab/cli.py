@@ -332,7 +332,7 @@ def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
     return out
 
 
-def _materialize_functions(cfg: ExperimentConfig, space, base_dir: str):
+def _materialize_functions(cfg: ExperimentConfig, sid: str, space, base_dir: str):
     out = []
     for fid, spec in cfg.functions:
         if isinstance(spec, str):
@@ -342,7 +342,10 @@ def _materialize_functions(cfg: ExperimentConfig, space, base_dir: str):
                 raise ConfigError(f"cannot use input file {path}: need {space.n} values, got shape {values.shape}")
             out.append((fid, np.abs(values)))
         else:
-            out.append((fid, generate_function(space, spec)))
+            try:
+                out.append((fid, generate_function(space, spec)))
+            except InvalidSpec as exc:
+                raise ConfigError(f"function {fid!r} on space {sid!r}: {exc}") from exc
     return out
 
 
@@ -368,7 +371,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
-        for fid, f in _materialize_functions(cfg, space, base_dir):
+        for fid, f in _materialize_functions(cfg, sid, space, base_dir):
             records += _pair_records(space, sid, f, fid, balls, cfg)
     # canonical order: report bytes do not depend on evaluation order
     records.sort(key=lambda r: tuple(_fmt(r.get(c, "")) for c in CSV_COLUMNS))

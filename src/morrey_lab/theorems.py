@@ -77,22 +77,26 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
 
     All centers with radii breakpoints(a) * {0.5, 1, 1.5}, positive and
     capped at the diameter, deduplicated, then seeded-subsampled to at most
-    ``limit`` pairs.
+    ``limit`` pairs.  Centers and radii stay numpy arrays until the sample
+    is chosen; only the kept pairs become Python ``(int, float)`` tuples.
     """
     diam = space.diameter
     cap = diam if diam > 0.0 else 1.0
-    pairs = []
+    centers, radii = [], []
     for a in range(space.n):
         if diam == 0.0:
-            radii = np.array([1.0])
+            r = np.array([1.0])
         else:
             bps = np.unique(space.dist[a])
-            radii = np.unique(np.minimum(np.concatenate([bps * 0.5, bps, bps * 1.5]), cap))
-        pairs += [(a, r) for r in radii[radii > 0.0].tolist()]
-    if len(pairs) > limit:
-        keep = shuffle_indices(len(pairs), seed)[:limit]
-        pairs = [pairs[i] for i in sorted(keep)]
-    return pairs
+            r = np.unique(np.minimum(np.concatenate([bps * 0.5, bps, bps * 1.5]), cap))
+        r = r[r > 0.0]
+        centers.append(np.full(r.size, a))
+        radii.append(r)
+    centers, radii = np.concatenate(centers), np.concatenate(radii)
+    if centers.size > limit:
+        keep = np.sort(shuffle_indices(centers.size, seed)[:limit])
+        centers, radii = centers[keep], radii[keep]
+    return list(zip(centers.tolist(), radii.tolist()))
 
 
 def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_constant=None) -> list[CheckReport]:

@@ -154,6 +154,12 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith(f"config error: cannot use input file {tmp_path / name}")
 
+    @pytest.mark.parametrize("family", ["ball-indicator", "power-spike"])
+    def test_function_center_out_of_range(self, tmp_path, capsys, family):
+        code, err = self.run_with(tmp_path, capsys, {"functions": [{"id": "f", "family": family, "center": 10}]})
+        assert code == 2
+        assert err.startswith("config error: function 'f' on space 'g4': center 10 out of range for n=4")
+
 
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):

@@ -92,6 +92,14 @@ class TestEnumeration:
             for limit in (64, 10**9):
                 assert enumerate_balls(sp, limit, seed=2) == reference(sp, limit, seed=2)
 
+    def test_pairs_are_python_scalars(self):
+        """A numpy scalar would break json.dump or change the params bytes."""
+        for sp in reference_spaces():
+            for limit in (8, 10**9):
+                balls = enumerate_balls(sp, limit, seed=0)
+                assert balls
+                assert all(type(a) is int and type(r) is float for a, r in balls)
+
 
 class TestT1:
     def test_single_point_passes(self):
