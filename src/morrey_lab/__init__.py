@@ -2,7 +2,7 @@
 metric measure spaces, with checkers for their weak- and strong-type
 inequalities and a reproducible experiment harness."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .functions import ExponentSet, lq_norm, morrey_norm, level_set_measure
 from .generators import FunctionSpec, SpaceSpec, generate_function, generate_space

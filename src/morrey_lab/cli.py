@@ -4,14 +4,17 @@ reports out.
 A config names spaces, functions, exponent triples and checks; ``run``
 executes everything and writes one hierarchical report (JSON) plus a flat
 CSV table.  Report bytes are a pure function of (config, seed, tool
-version): records are merged in canonical order, numbers are printed with
-17 significant digits, and logging goes to stderr only.
+version): records follow config order (space, function, check, exponent
+triple, ball, level), numbers are printed with 17 significant digits, and
+logging goes to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -373,8 +376,6 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
         for fid, f in _materialize_functions(cfg, sid, space, base_dir):
             records += _pair_records(space, sid, f, fid, balls, cfg)
-    # canonical order: report bytes do not depend on evaluation order
-    records.sort(key=lambda r: tuple(_fmt(r.get(c, "")) for c in CSV_COLUMNS))
     say(f"collected {len(records)} check records")
 
     space_by_id = dict(spaces)
@@ -430,10 +431,14 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
 
 
 def render_csv(records) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in records:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    # Not in CSV_COLUMNS: a JSON record has an "error" key only when it could
+    # not be evaluated, which is how run() counts errors.
+    columns = [*CSV_COLUMNS, "error"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt(row.get(c, "")) for c in columns] for row in records)
+    return buf.getvalue()
 
 
 def write_report(report: dict, out_dir: str):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .functions import ExponentOutOfRange, ExponentSet, as_function, level_masses, lq_norm, morrey_norm
 from .operators import fractional_integral, hedberg_constant, maximal
-from .rng import shuffle_indices
+from .rng import sample_indices
 from .space import MetricMeasureSpace
 
 CHECK_IDS = ("T1", "T2", "T3", "T6", "T7", "weakL1")
@@ -76,9 +76,10 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     """Deterministic (center, radius) pairs covering the ball quantifier.
 
     All centers with radii breakpoints(a) * {0.5, 1, 1.5}, positive and
-    capped at the diameter, deduplicated, then seeded-subsampled to at most
-    ``limit`` pairs.  Centers and radii stay numpy arrays until the sample
-    is chosen; only the kept pairs become Python ``(int, float)`` tuples.
+    capped at the diameter, deduplicated, then a seeded uniform sample of
+    at most ``limit`` pairs (``rng.sample_indices``).  The kept pairs stay
+    in enumeration order: by center, then by increasing radius.  Only they
+    become Python ``(int, float)`` tuples.
     """
     diam = space.diameter
     cap = diam if diam > 0.0 else 1.0
@@ -94,7 +95,7 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
         radii.append(r)
     centers, radii = np.concatenate(centers), np.concatenate(radii)
     if centers.size > limit:
-        keep = np.sort(shuffle_indices(centers.size, seed)[:limit])
+        keep = sample_indices(centers.size, limit, seed)
         centers, radii = centers[keep], radii[keep]
     return list(zip(centers.tolist(), radii.tolist()))
 

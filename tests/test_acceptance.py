@@ -6,6 +6,7 @@ ultrametric tree of depth 5; 20 seeded functions per space; p in
 {1.5, 2, 4}; at most 64 balls per instance; 25-point level grids.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from morrey_lab import cli
+from morrey_lab import __version__, cli
 from morrey_lab.extremal import OptimizerConfig, estimate_constant, kappa_sweep, make_objective
 from morrey_lab.functions import ExponentSet, morrey_norm
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
@@ -311,12 +312,29 @@ def test_criterion_8_kappa_sweep_monotonicity(corpus, capsys):
         print("\nACCEPTANCE 8 (kappa-sweep monotonicity): PASS")
 
 
+# sha256 of the seed-0 corpus run's files, with the tool version they were
+# taken at.  A change that alters report bytes on purpose bumps __version__
+# and re-pins both digests here.
+CORPUS_PINNED = (
+    "0.2.0",
+    {
+        "report.json": "d2dd4bf8ab55f19c4e56c8b800561832cac8ced44165223c8d9c3148de7aaa17",
+        "records.csv": "0d4006f338bba44a6924cbce257a27bfe097bb8a567c4fb0afcc3cda6a921040",
+    },
+)
+
+
 def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
     here = os.path.dirname(os.path.abspath(__file__))
     cfg = os.path.join(here, "..", "configs", "corpus.json")
     assert cli.main(["--quiet", "run", cfg, "--out", str(tmp_path / "a")]) == 0
     assert cli.main(["--quiet", "run", cfg, "--out", str(tmp_path / "b")]) == 0
+    pinned_version, pinned = CORPUS_PINNED
     for name in ("report.json", "records.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        data = (tmp_path / "a" / name).read_bytes()
+        assert data == (tmp_path / "b" / name).read_bytes(), name
+        assert (__version__, hashlib.sha256(data).hexdigest()) == (pinned_version, pinned[name]), name
+    records = json.loads((tmp_path / "a" / "report.json").read_text())["records"]
+    assert not any("error" in r for r in records)
     with capsys.disabled():
         print("\nACCEPTANCE 9 (end-to-end determinism): PASS")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -253,6 +255,22 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["verdict"] == {"pass": 0, "fail": 0, "errors": 2}
         assert all("finite" in r["error"] for r in report["records"])
+        with open(tmp_path / "out" / "records.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows] == [r["error"] for r in report["records"]]
+
+    def test_csv_quotes_error_text(self):
+        text = cli.render_csv([{"check_id": "T7", "error": 'ValueError: need "q", got q=3, p=2'}])
+        (row,) = csv.DictReader(io.StringIO(text))
+        assert row["check_id"] == "T7" and row["error"] == 'ValueError: need "q", got q=3, p=2'
+
+    def test_records_follow_config_order(self):
+        raw = dict(BASE_CONFIG, exponents=[[4.0, 2.0, 0.125], [2.0, 1.5, 0.25]], checks=["T6", "T2"])
+        report, code = cli.run(parse_config(raw))
+        assert code == 0
+        assert [(r["function_id"], r["check_id"], r["p"]) for r in report["records"]] == [
+            (fid, check, p) for fid in ("const", "rough") for check in ("T6", "T2") for p in (4.0, 2.0)
+        ]
 
     def test_program_errors_are_not_records(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -10,7 +10,7 @@ from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentSet, _region_mask, level_set_measure
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
-from morrey_lab.rng import shuffle_indices
+from morrey_lab.rng import sample_indices
 from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import (
     CHECK_IDS,
@@ -79,7 +79,7 @@ class TestEnumeration:
                         seen.add(key)
                         pairs.append(key)
             if len(pairs) > limit:
-                pairs = [pairs[i] for i in sorted(shuffle_indices(len(pairs), seed)[:limit])]
+                pairs = [pairs[i] for i in sample_indices(len(pairs), limit, seed)]
             return pairs
 
         spaces = [
