@@ -5,8 +5,9 @@ A config names spaces, functions, exponent triples and checks; ``run``
 executes everything and writes one hierarchical report (JSON) plus a flat
 CSV table.  Report bytes are a pure function of (config, seed, tool
 version): records follow config order (space, function, check, exponent
-triple, ball, level), numbers are printed with 17 significant digits, and
-logging goes to stderr only.
+triple, ball, level), ``report.json`` prints floats with ``repr`` (the
+shortest string that round-trips), ``records.csv`` prints them with 17
+significant digits, and logging goes to stderr only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -430,24 +430,53 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     return report, exit_code
 
 
-def render_csv(records) -> str:
+def write_csv(records, fh):
     # Not in CSV_COLUMNS: a JSON record has an "error" key only when it could
     # not be evaluated, which is how run() counts errors.
     columns = [*CSV_COLUMNS, "error"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([_fmt(row.get(c, "")) for c in columns] for row in records)
-    return buf.getvalue()
+
+
+_ROW_BATCH = 256
+# One compact C-encoder call per batch of rows.  Its item separator is the
+# newline and indent of a row's keys under indent=2; rows are flat and
+# non-empty, so the only other separator is the "},\n      {" between rows.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _write_rows(rows: list, fh):
+    fh.write("[")
+    for start in range(0, len(rows), _ROW_BATCH):
+        text = _ROW_ENCODER.encode(rows[start : start + _ROW_BATCH])
+        fh.write("," if start else "")
+        fh.write("\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }")
+    fh.write("\n  ]")
 
 
 def write_report(report: dict, out_dir: str):
+    """Write ``report.json`` and ``records.csv`` into ``out_dir``.
+
+    The bytes of ``report.json`` are those of
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.  The
+    records are streamed in batches through the C encoder, which ``indent``
+    would switch off; the newline rewrites are exact because ASCII-escaped
+    JSON holds no raw newline inside a string.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(report)):
+            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+            value = report[key]
+            if key == "records" and value:
+                _write_rows(value, fh)
+            else:
+                fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n")
     with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8") as fh:
-        fh.write(render_csv(report["records"]))
+        write_csv(report["records"], fh)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +580,7 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        sys.stdout.write(render_csv(report["records"]))
+        write_csv(report["records"], sys.stdout)
         return 0
 
     only = {

@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morrey_lab import cli
-from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file
+from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file, write_report
 from morrey_lab.extremal import OptimizerConfig
 from morrey_lab.generators import SpaceSpec, generate_space
 
@@ -260,8 +262,9 @@ class TestRun:
         assert [r["error"] for r in rows] == [r["error"] for r in report["records"]]
 
     def test_csv_quotes_error_text(self):
-        text = cli.render_csv([{"check_id": "T7", "error": 'ValueError: need "q", got q=3, p=2'}])
-        (row,) = csv.DictReader(io.StringIO(text))
+        buf = io.StringIO()
+        cli.write_csv([{"check_id": "T7", "error": 'ValueError: need "q", got q=3, p=2'}], buf)
+        (row,) = csv.DictReader(io.StringIO(buf.getvalue()))
         assert row["check_id"] == "T7" and row["error"] == 'ValueError: need "q", got q=3, p=2'
 
     def test_records_follow_config_order(self):
@@ -340,6 +343,140 @@ class TestRun:
             report = json.loads((out / "report.json").read_text())
             for name in filled.values():
                 assert bool(report[name]) == (name == section), (command, name)
+
+
+@pytest.fixture(scope="module")
+def corpus_report():
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+        report, code = cli.run(parse_config(json.load(fh)))
+    assert code == 0
+    return report
+
+
+def reference_csv(records) -> str:
+    """The CSV table built whole in memory, as the writer did before it streamed."""
+    columns = [*cli.CSV_COLUMNS, "error"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cli._fmt(row.get(c, "")) for c in columns] for row in records)
+    return buf.getvalue()
+
+
+def assert_oracle_bytes(report, out_dir):
+    """write_report gives the bytes of json.dumps(indent=2) and the in-memory CSV."""
+    write_report(report, str(out_dir))
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert (out_dir / "report.json").read_bytes() == expected.encode("utf-8")
+    assert (out_dir / "records.csv").read_bytes() == reference_csv(report["records"]).encode("utf-8")
+
+
+# Error text that looks like the row separators, with quotes, commas, braces,
+# a raw newline and characters outside ASCII.
+ODD_ERROR = 'need "q", got {q: 3}, p=2 },\n      {"x": "ü∞𝔐"}\t\\ — \u2028 end'
+
+# Nested values for the config, estimates and sweeps of a report: the floats
+# and ints JSON prints differently from repr, and strings that hold the
+# separators the writer rewrites.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 2**64]),
+    st.text(max_size=8),
+    st.sampled_from(['"},{"', "\n", "},\n      {", "\n    },\n    {\n      ", "é\u2028"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+FLAT_ROWS = st.lists(
+    st.dictionaries(st.sampled_from([*cli.CSV_COLUMNS, "error"]) | st.text(max_size=6), JSON_SCALARS, min_size=1),
+    max_size=12,
+)
+
+
+class TestWriteReport:
+    """report.json is streamed in batches of rows through the C encoder; its
+    bytes must stay those of ``json.dumps(report, sort_keys=True, indent=2)``."""
+
+    def test_corpus_report(self, corpus_report, tmp_path):
+        assert_oracle_bytes(corpus_report, tmp_path)
+
+    def test_errored_run(self, tmp_path, monkeypatch):
+        original = cli.evaluate
+
+        def odd(space, f, check, *args):
+            if check == "T7":
+                raise ValueError(ODD_ERROR)
+            return original(space, f, check, *args)
+
+        monkeypatch.setattr(cli, "evaluate", odd)
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, checks=["T6", "T7"])))
+        assert code == 3 and report["verdict"]["errors"] == 2
+        assert_oracle_bytes(report, tmp_path)
+        assert "\\u00fc\\u221e\\ud835\\udd10" in (tmp_path / "report.json").read_text()
+
+    def test_estimate_only_run(self, tmp_path):
+        checks = [{"estimate": {"check": "T6", "space": "g4", "restarts": 1, "max_iters": 8}}]
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, checks=checks)))
+        assert code == 0 and report["records"] == [] and report["estimates"]
+        assert_oracle_bytes(report, tmp_path)
+
+    @pytest.mark.parametrize("count", [0, 1, cli._ROW_BATCH - 1, cli._ROW_BATCH, cli._ROW_BATCH + 1])
+    def test_rows_at_batch_edges(self, tmp_path, count):
+        report, _ = cli.run(parse_config(BASE_CONFIG))
+        base = report["records"]
+        report["records"] = [base[i % len(base)] for i in range(count)]
+        assert_oracle_bytes(report, tmp_path)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(
+        config=JSON_VALUES,
+        estimates=JSON_VALUES,
+        sweeps=JSON_VALUES,
+        records=FLAT_ROWS,
+        batch=st.integers(1, 5),
+    )
+    def test_random_reports(self, tmp_path_factory, config, estimates, sweeps, records, batch):
+        report = {
+            "config": config,
+            "environment": {"tool_version": "x"},
+            "estimates": estimates,
+            "records": records,
+            "sweeps": sweeps,
+            "verdict": {"pass": 2**80, "fail": 0, "errors": -1},
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_ROW_BATCH", batch)
+            assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
+
+    def test_writes_are_bounded(self, corpus_report, tmp_path, monkeypatch):
+        """The writer streams: no single write holds the whole 6.9 MB report."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                sizes.append(len(text))
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k)), raising=False)
+        write_report(corpus_report, str(tmp_path))
+        total = (tmp_path / "report.json").stat().st_size + (tmp_path / "records.csv").stat().st_size
+        assert sum(sizes) == total > 6_000_000
+        assert max(sizes) <= 1 << 20
 
 
 class TestSharedWork:
