@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
-from .functions import ExponentOutOfRange, ExponentSet
+from .functions import ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .space import InvalidSpaceError, MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, enumerate_balls, evaluate
@@ -153,6 +153,15 @@ def _parse_function_entry(raw, index, default_seed):
     return _parse_spec_entry(FunctionSpec, raw, f"functions[{index}]", f"fn{index}", default_seed)
 
 
+def _unique_ids(key: str, entries: list) -> list:
+    """The ids of (id, spec) entries, in order; a repeated id is a config error."""
+    ids = [ident for ident, _ in entries]
+    for i, ident in enumerate(ids):
+        if ident in ids[:i]:
+            raise ConfigError(f"{key}[{i}]: duplicate id {ident!r}")
+    return ids
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     top = _take(
         raw,
@@ -167,6 +176,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     functions = [
         _parse_function_entry(f, i, rng.u64(seed, 2, i) >> 1) for i, f in enumerate(top["functions"])
     ]
+    if not spaces or not functions or not top["checks"]:
+        raise ConfigError("config needs at least one space, one function and one check")
+    space_ids, function_ids = _unique_ids("spaces", spaces), _unique_ids("functions", functions)
     exponents = []
     for i, triple in enumerate(top["exponents"]):
         if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
@@ -192,30 +204,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
             )
             if ent["check"] not in CHECK_IDS:
                 raise ConfigError(f"{ctx}: unknown check id {ent['check']!r}")
-            estimates.append(
-                EstimateRequest(
-                    check=ent["check"],
-                    space=str(ent["space"]) if ent["space"] is not None else spaces[0][0],
-                    exponent=_coerce(ctx, "exponent", int, ent["exponent"]),
-                    optimizer=_build_spec(OptimizerConfig, ent, ctx, seed=seed),
-                )
-            )
+            space = str(ent["space"]) if ent["space"] is not None else space_ids[0]
+            if space not in space_ids:
+                raise ConfigError(f"{ctx}: unknown space {space!r}")
+            exponent = _coerce(ctx, "exponent", int, ent["exponent"])
+            if not 0 <= exponent < len(exponents):
+                raise ConfigError(f"{ctx}: exponent index {exponent} out of range")
+            optimizer = _build_spec(OptimizerConfig, ent, ctx, seed=seed)
+            estimates.append(EstimateRequest(check=ent["check"], space=space, exponent=exponent, optimizer=optimizer))
         elif isinstance(item, dict) and set(item) == {"sweep"}:
             ctx = f"checks[{i}].sweep"
             ent = _take(item["sweep"], ctx, ("alpha", "p"), {"kappas": [1.0, 1.5, 2.0], "function": None})
+            function = str(ent["function"]) if ent["function"] is not None else function_ids[0]
+            if function not in function_ids:
+                raise ConfigError(f"{ctx}: unknown function {function!r}")
             sweeps.append(
                 SweepRequest(
                     alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
                     p=_coerce(ctx, "p", float, ent["p"]),
                     kappas=tuple(_coerce(ctx, "kappas", float, k) for k in _list(f"{ctx}.kappas", ent["kappas"])),
-                    function=str(ent["function"]) if ent["function"] is not None else functions[0][0],
+                    function=function,
                 )
             )
         else:
             raise ConfigError(f"checks[{i}]: expected a check id or an estimate/sweep request")
 
-    if not spaces or not functions or not (checks or estimates or sweeps):
-        raise ConfigError("config needs at least one space, one function and one check")
     gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": GAMMA_LO, "hi": GAMMA_HI, "count": GAMMA_COUNT})
     gamma_lo = _coerce("gamma_grid", "lo", float, gg["lo"])
     gamma_hi = _coerce("gamma_grid", "hi", float, gg["hi"])
@@ -370,21 +383,19 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     spaces = _materialize_spaces(cfg, base_dir)
     say(f"materialized {len(spaces)} spaces")
 
-    records = []
+    records, built = [], []  # built: (space, {function id: values}) per space
     needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
-        for fid, f in _materialize_functions(cfg, sid, space, base_dir):
+        values = _materialize_functions(cfg, sid, space, base_dir)
+        built.append((space, dict(values)))
+        for fid, f in values:
             records += _pair_records(space, sid, f, fid, balls, cfg)
     say(f"collected {len(records)} check records")
 
-    space_by_id = dict(spaces)
+    space_by_id = dict(spaces)  # ids are unique (parse_config)
     estimates = []
     for req in cfg.estimates:
-        if req.space not in space_by_id:
-            raise ConfigError(f"estimate names unknown space {req.space!r}")
-        if not 0 <= req.exponent < len(cfg.exponents):
-            raise ConfigError(f"estimate names exponent index {req.exponent} out of range")
         res = estimate_constant(space_by_id[req.space], req.check, cfg.exponents[req.exponent], req.optimizer)
         estimates.append(
             {
@@ -398,15 +409,13 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         )
     say(f"ran {len(estimates)} extremal estimates")
 
+    by_size = sorted(built, key=lambda sv: sv[0].n)
     sweeps = []
     for req in cfg.sweeps:
-        fspec = dict(cfg.functions).get(req.function)
-        if fspec is None or isinstance(fspec, str):
-            raise ConfigError(f"sweep needs a generated function spec, got {req.function!r}")
-        ordered = [space for _, space in sorted(spaces, key=lambda kv: kv[1].n)]
+        instances = [(space, values[req.function]) for space, values in by_size]
         try:
-            rows = kappa_sweep(ordered, fspec, req.alpha, req.p, req.kappas)
-        except ExponentOutOfRange as exc:
+            rows = kappa_sweep(instances, req.alpha, req.p, req.kappas)
+        except ValueError as exc:  # (alpha, p, kappas) out of range, or non-finite values from a file
             raise ConfigError(f"sweep (alpha={req.alpha}, p={req.p}, kappas={list(req.kappas)}): {exc}") from exc
         sweeps.append({"alpha": req.alpha, "p": req.p, "function_id": req.function, "table": rows})
     say(f"ran {len(sweeps)} kappa sweeps")

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .functions import ExponentSet, morrey_norm
-from .generators import FunctionSpec, generate_function
-from .operators import fractional_integral, maximal
+from .functions import ExponentSet
 from .space import MetricMeasureSpace
-from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, enumerate_balls, evaluate, hedberg_ratio
+from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, check_T2_hedberg, enumerate_balls, evaluate
+
+STEP_INIT = 1.5  # first multiplicative step of each restart
+STEP_DECAY = 0.9  # step - 1 shrinks by this factor after a stalled sweep
+STOP_TOL = 1e-6  # a sweep stalls when its relative gain is at most this
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,10 @@ class OptimizerConfig:
     seed: int = 0
     restarts: int = 8
     max_iters: int = 2000
-    step_init: float = 1.5
-    step_decay: float = 0.9
-    stop_tol: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if not self.step_init > 1.0:
-            raise ValueError("step_init must exceed 1")
-        if not 0.0 < self.step_decay < 1.0:
-            raise ValueError("step_decay must lie in (0, 1)")
-        if not self.stop_tol > 0.0:
-            raise ValueError("stop_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,7 @@ def estimate_constant(
         if f.max() > 0.0:
             f = f / f.max()
         val = objective(f)
-        step = cfg.step_init
+        step = STEP_INIT
         rtrace = [val]
         it = 0
         while it < cfg.max_iters:
@@ -134,8 +127,8 @@ def estimate_constant(
                         break
             rtrace.append(val)
             gain = val - sweep_start
-            if gain <= cfg.stop_tol * max(abs(sweep_start), 1e-300):
-                step = 1.0 + (step - 1.0) * cfg.step_decay
+            if gain <= STOP_TOL * max(abs(sweep_start), 1e-300):
+                step = 1.0 + (step - 1.0) * STEP_DECAY
                 if step - 1.0 < 1e-4:
                     break
             if f.max() > 0.0:
@@ -155,26 +148,15 @@ def estimate_constant(
     )
 
 
-def kappa_sweep(
-    spaces: list[MetricMeasureSpace],
-    f_spec: FunctionSpec,
-    alpha: float,
-    p: float,
-    kappas,
-) -> list[dict]:
-    """Hedberg-type ratio per (instance, kappa) for the function ``f_spec``
-    generated on each space: the kernel dilation kappa varies, the maximal
+def kappa_sweep(instances, alpha: float, p: float, kappas) -> list[dict]:
+    """Check T2's ratio per (instance, kappa) for the ``(space, f)`` pairs
+    in ``instances``: the kernel dilation kappa varies, the maximal
     operator and the reference norm stay at dilation 2.
 
     Report-only; kappa < 2 is the regime the theory does not cover.
     """
-    rows = []
-    for idx, space in enumerate(spaces):
-        f = np.abs(np.asarray(generate_function(space, f_spec), dtype=float))
-        mf = maximal(space, f, 2.0)
-        norm = morrey_norm(space, f, p, 1.0, 2.0)
-        for kappa in kappas:
-            pot = fractional_integral(space, f, alpha, kappa=float(kappa))
-            ratio = hedberg_ratio(pot, mf, norm, p, alpha)
-            rows.append({"instance": idx, "n": space.n, "kappa": float(kappa), "ratio": ratio})
-    return rows
+    return [
+        {"instance": idx, "n": space.n, "kappa": k, "ratio": check_T2_hedberg(space, f, p, alpha, k).lhs}
+        for idx, (space, f) in enumerate(instances)
+        for k in map(float, kappas)
+    ]

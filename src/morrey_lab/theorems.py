@@ -146,23 +146,16 @@ def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport
     return _t1_reports(space, maximal(space, f, 2.0), morrey_norm(space, f, p, 1.0, 2.0), balls, p, gammas)
 
 
-def hedberg_ratio(pot, mf, norm: float, p: float, alpha: float) -> float:
-    """max_x pot(x) / (mf(x)^{1-p*alpha} norm^{p*alpha}); points where the
-    denominator vanishes count as 0."""
-    denom = mf ** (1.0 - p * alpha) * norm ** (p * alpha)
-    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return float(ratios.max()) if ratios.size else 0.0
-
-
-def check_T2_hedberg(space, f, p: float, alpha: float) -> CheckReport:
-    """Worst-point ratio of the potential to maximal^{1-p*alpha} norm^{p*alpha};
-    explicit derived constant."""
+def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
+    """Worst-point ratio of I_alpha f, with kernel dilation ``kappa``, to
+    M_2 f^{1-p*alpha} norm^{p*alpha}; points where the denominator vanishes
+    count as 0.  The explicit constant is the one derived for kappa = 2."""
     ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
     f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, alpha)
-    mf = maximal(space, f, 2.0)
-    norm = morrey_norm(space, f, p, 1.0, 2.0)
-    lhs = hedberg_ratio(pot, mf, norm, p, alpha)
+    pot = fractional_integral(space, f, alpha, kappa)
+    denom = maximal(space, f, 2.0) ** (1.0 - p * alpha) * morrey_norm(space, f, p, 1.0, 2.0) ** (p * alpha)
+    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
+    lhs = float(ratios.max()) if ratios.size else 0.0
     return _make_report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
 
 

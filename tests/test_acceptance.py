@@ -299,7 +299,7 @@ def test_criterion_8_kappa_sweep_monotonicity(corpus, capsys):
         FunctionSpec("constant", value=1.0),
     ):
         spaces = [sp for _, sp in corpus]
-        rows = kappa_sweep(spaces, fspec, alpha, p, [1.0, 2.0])
+        rows = kappa_sweep([(sp, generate_function(sp, fspec)) for sp in spaces], alpha, p, [1.0, 2.0])
         by_instance = {}
         for r in rows:
             by_instance.setdefault(r["instance"], {})[r["kappa"]] = r["ratio"]

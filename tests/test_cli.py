@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from morrey_lab import cli
 from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file, write_report
 from morrey_lab.extremal import OptimizerConfig
-from morrey_lab.generators import SpaceSpec, generate_space
+from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 
 BASE_CONFIG = {
     "seed": 5,
@@ -57,6 +57,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"checks\[0\]\.estimate: unknown keys \['seed'\]"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key,value", [("step_init", 2.0), ("step_decay", 0.5), ("stop_tol", 1e-3)])
+    def test_estimate_rejects_fixed_step_schedule(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"checks": [{"estimate": {"check": "T6", key: value}}]})
+        assert cli.main(["--quiet", "run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: checks[0].estimate: unknown keys ['{key}']")
+
     def test_entry_defaults_and_coercions(self):
         raw = dict(
             BASE_CONFIG,
@@ -94,6 +100,24 @@ class TestConfigErrorsExitTwo:
 
 
     @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"checks": [{"estimate": {"check": "T6", "space": "g5"}}]}, "checks[0].estimate: unknown space 'g5'"),
+            ({"checks": [{"estimate": {"check": "T6", "exponent": 1}}]}, "checks[0].estimate: exponent index 1 out"),
+            ({"checks": [{"estimate": {"check": "T6", "exponent": -1}}]}, "checks[0].estimate: exponent index -1 out"),
+            ({"checks": ["T6", {"sweep": {"alpha": 0.25, "p": 2.0, "function": "x"}}]}, "checks[1].sweep: unknown function 'x'"),
+            ({"spaces": [{"id": "g", "family": "grid", "n": 4}] * 2}, "spaces[1]: duplicate id 'g'"),
+            ({"functions": [{"family": "constant"}, {"id": "fn0", "family": "constant"}]}, "functions[1]: duplicate id 'fn0'"),
+        ],
+        ids=["estimate-space", "estimate-exponent", "estimate-negative-exponent", "sweep-function", "space-id", "function-id"],
+    )
+    def test_unknown_or_repeated_reference(self, tmp_path, capsys, overrides, message):
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "key,overrides",
         [
             ("spaces", {"spaces": 3}),
@@ -114,12 +138,20 @@ class TestConfigErrorsExitTwo:
             {"alpha": 0.25, "p": 2.0, "kappas": [0.0]},
             {"alpha": 1.5, "p": 2.0},
             {"alpha": 0.25, "p": 0.5},
+            {"alpha": 0.6, "p": 2.0},  # alpha >= 1/p, outside T2's range
         ],
     )
     def test_bad_sweep_parameter(self, tmp_path, capsys, sweep):
         code, err = self.run_with(tmp_path, capsys, {"checks": [{"sweep": sweep}]})
         assert code == 2
         assert err.startswith("config error: sweep (")
+
+    def test_sweep_of_a_non_finite_function_file(self, tmp_path, capsys):
+        (tmp_path / "nan.json").write_text(json.dumps([1.0, float("nan"), 1.0, 1.0]))
+        sweep = {"sweep": {"alpha": 0.25, "p": 2.0, "function": "nan"}}
+        code, err = self.run_with(tmp_path, capsys, {"functions": [{"id": "nan", "file": "nan.json"}], "checks": [sweep]})
+        assert code == 2
+        assert err.startswith("config error: sweep (") and "finite" in err
 
     @pytest.mark.parametrize(
         "grid",
@@ -327,6 +359,19 @@ class TestRun:
         assert len(report["sweeps"]) == 1
         kappas = {row["kappa"] for row in report["sweeps"][0]["table"]}
         assert kappas == {1.0, 2.0}
+
+    def test_sweep_of_a_function_file_matches_its_spec(self, tmp_path):
+        parsed = parse_config(json.loads(json.dumps(BASE_CONFIG)))
+        (_, space_spec), (_, rough_spec) = parsed.spaces[0], parsed.functions[1]
+        values = generate_function(generate_space(space_spec), rough_spec)
+        (tmp_path / "rough.json").write_text(json.dumps(values.tolist()))
+        sweep = {"sweep": {"alpha": 0.25, "p": 2.0, "kappas": [1.0, 1.5, 2.0], "function": "rough"}}
+        tables = []
+        for name, rough in (("spec", BASE_CONFIG["functions"][1]), ("file", {"id": "rough", "file": "rough.json"})):
+            cfg = write_config(tmp_path, {"functions": [rough], "checks": [sweep]}, f"{name}.json")
+            assert cli.main(["--quiet", "sweep", cfg, "--out", str(tmp_path / name)]) == 0
+            tables.append(json.loads((tmp_path / name / "report.json").read_text())["sweeps"][0]["table"])
+        assert len(tables[0]) == 3 and tables[0] == tables[1]
 
 
     def test_subcommands_fill_only_their_section(self, tmp_path):

@@ -106,7 +106,7 @@ class TestKappaSweep:
     def test_kappa2_column_matches_t2(self):
         spaces = self.spaces()
         fspec = FunctionSpec("random-uniform", seed=3)
-        rows = kappa_sweep(spaces, fspec, 0.25, 2.0, [1.0, 2.0])
+        rows = kappa_sweep([(sp, generate_function(sp, fspec)) for sp in spaces], 0.25, 2.0, [1.0, 2.0])
         for idx, sp in enumerate(spaces):
             f = generate_function(sp, fspec)
             t2 = check_T2_hedberg(sp, f, 2.0, 0.25).lhs
@@ -114,14 +114,16 @@ class TestKappaSweep:
             assert row["ratio"] == t2
 
     def test_kappa1_dominates_kappa2(self):
-        rows = kappa_sweep(self.spaces(), FunctionSpec("random-uniform", seed=4), 0.25, 2.0, [1.0, 2.0])
+        fspec = FunctionSpec("random-uniform", seed=4)
+        rows = kappa_sweep([(sp, generate_function(sp, fspec)) for sp in self.spaces()], 0.25, 2.0, [1.0, 2.0])
         by_instance = {}
         for r in rows:
             by_instance.setdefault(r["instance"], {})[r["kappa"]] = r["ratio"]
         for vals in by_instance.values():
             assert vals[1.0] >= vals[2.0] * (1 - 1e-12)
+        assert any(vals[1.0] > vals[2.0] for vals in by_instance.values())  # kappa reaches the kernel
 
     def test_single_point_independent_of_kappa(self):
-        rows = kappa_sweep([single_point_space()], FunctionSpec("constant", value=2.0), 0.25, 2.0, [0.5, 1.0, 2.0])
+        rows = kappa_sweep([(single_point_space(), [2.0])], 0.25, 2.0, [0.5, 1.0, 2.0])
         ratios = {r["ratio"] for r in rows}
         assert len(ratios) == 1
