@@ -29,7 +29,7 @@ from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
 from .functions import ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .space import InvalidSpaceError, MetricMeasureSpace, find_violations, validate_space
-from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, enumerate_balls, evaluate
+from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
     "check_id",
@@ -349,6 +349,7 @@ def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
 
 
 def _materialize_functions(cfg: ExperimentConfig, sid: str, space, base_dir: str):
+    """One ``Values`` per configured function, shared by all checks of the pair."""
     out = []
     for fid, spec in cfg.functions:
         if isinstance(spec, str):
@@ -356,12 +357,12 @@ def _materialize_functions(cfg: ExperimentConfig, sid: str, space, base_dir: str
             values = _read_input_file(load_function_file, path)
             if values.shape != (space.n,):
                 raise ConfigError(f"cannot use input file {path}: need {space.n} values, got shape {values.shape}")
-            out.append((fid, np.abs(values)))
         else:
             try:
-                out.append((fid, generate_function(space, spec)))
+                values = generate_function(space, spec)
             except InvalidSpec as exc:
                 raise ConfigError(f"function {fid!r} on space {sid!r}: {exc}") from exc
+        out.append((fid, Values(space, values)))
     return out
 
 
@@ -383,7 +384,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     spaces = _materialize_spaces(cfg, base_dir)
     say(f"materialized {len(spaces)} spaces")
 
-    records, built = [], []  # built: (space, {function id: values}) per space
+    records, built = [], []  # built: (space, {function id: Values}) per space
     needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []

@@ -5,7 +5,8 @@ Each checker evaluates both sides of one inequality on a concrete
 Checkers that come with an explicit constant (the weak maximal bound with
 constant 4 and the pointwise potential bound with the derived geometric
 constant) also carry a pass flag; the existence-of-C statements only
-report.
+report.  A checker takes f as an array or as a ``Values``, and checkers
+given the same ``Values`` compute each operator value and norm of f once.
 """
 
 from __future__ import annotations
@@ -121,14 +122,64 @@ def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_co
     ]
 
 
-def _t1_reports(space, mf, norm, balls, p, gammas) -> list[CheckReport]:
+class Values:
+    """The operator values of one f on one space, each computed once:
+    ``of(op, *args)`` is ``op(space, |f|, *args)``, memoized per ``(op, args)``.
+    f is validated whenever a value is computed, not here, so an invalid f
+    raises its ``ValueError`` in every check that uses it."""
+
+    def __init__(self, space: MetricMeasureSpace, f):
+        self.space, self._f, self._memo = space, f, {}
+
+    def of(self, op, *args):
+        key = (op, args)
+        if key not in self._memo:
+            self._memo[key] = op(self.space, np.abs(as_function(self.space, self._f)), *args)
+        return self._memo[key]
+
+
+def _values(space, f) -> Values:
+    """``f`` itself if it is a ``Values`` on ``space``; a plain array gets a fresh one."""
+    if not isinstance(f, Values):
+        return Values(space, f)
+    if f.space is not space:
+        raise ValueError("the values of f were built on another space")
+    return f
+
+
+def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
+    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
+    6r-ball Morrey bound, explicit constant 4; f may be a ``Values``."""
+    if not p > 1.0:
+        raise ExponentOutOfRange(f"p must exceed 1, got {p}")
+    v = _values(space, f)
+    mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)
+
     def rhs(mu6, g):
         return mu6 ** (1.0 - 1.0 / p) * norm / g
 
     return _ball_reports(space, mf, balls, gammas, "T1", {"p": p}, rhs, theory_constant=4.0)
 
 
-def _t3_reports(space, pot, norm, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
+def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
+    """Worst-point ratio of I_alpha f, with kernel dilation ``kappa``, to
+    M_2 f^{1-p*alpha} norm^{p*alpha}; points where the denominator vanishes
+    count as 0, and f may be a ``Values``.  The explicit constant is the one
+    derived for kappa = 2."""
+    ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
+    v = _values(space, f)
+    pot = v.of(fractional_integral, alpha, kappa)
+    denom = v.of(maximal, 2.0) ** (1.0 - p * alpha) * v.of(morrey_norm, p, 1.0, 2.0) ** (p * alpha)
+    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
+    lhs = float(ratios.max()) if ratios.size else 0.0
+    return _make_report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
+
+
+def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
+    """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
+    ``balls``; constant left abstract, and f may be a ``Values``."""
+    v = _values(space, f)
+    pot, norm = v.of(fractional_integral, exps.alpha, 2.0), v.of(morrey_norm, exps.p, 1.0, 2.0)
     sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
 
     def rhs(mu6, g):
@@ -137,73 +188,31 @@ def _t3_reports(space, pot, norm, balls, exps: ExponentSet, gammas) -> list[Chec
     return _ball_reports(space, pot, balls, gammas, "T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, rhs)
 
 
-def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
-    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
-    6r-ball Morrey bound, explicit constant 4."""
-    if not p > 1.0:
-        raise ExponentOutOfRange(f"p must exceed 1, got {p}")
-    f = np.abs(as_function(space, f))
-    return _t1_reports(space, maximal(space, f, 2.0), morrey_norm(space, f, p, 1.0, 2.0), balls, p, gammas)
-
-
-def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
-    """Worst-point ratio of I_alpha f, with kernel dilation ``kappa``, to
-    M_2 f^{1-p*alpha} norm^{p*alpha}; points where the denominator vanishes
-    count as 0.  The explicit constant is the one derived for kappa = 2."""
-    ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
-    f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, alpha, kappa)
-    denom = maximal(space, f, 2.0) ** (1.0 - p * alpha) * morrey_norm(space, f, p, 1.0, 2.0) ** (p * alpha)
-    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
-    lhs = float(ratios.max()) if ratios.size else 0.0
-    return _make_report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
-
-
-def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
-    """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
-    ``balls``; constant left abstract."""
-    f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, exps.alpha)
-    return _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, gammas)
-
-
 def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:
     """Morrey norm of the potential on the (s, t, 6) scale against the
-    (p, q, 2) norm of f."""
-    f = np.abs(as_function(space, f))
-    pot = fractional_integral(space, f, exps.alpha)
-    lhs = morrey_norm(space, pot, exps.s, exps.t, 6.0)
-    rhs = morrey_norm(space, f, exps.p, exps.q, 2.0)
-    return _make_report(
-        "T6",
-        {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t},
-        lhs,
-        rhs,
-    )
+    (p, q, 2) norm of f, which may be a ``Values``."""
+    v = _values(space, f)
+    lhs = morrey_norm(space, v.of(fractional_integral, exps.alpha, 2.0), exps.s, exps.t, 6.0)
+    params = {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t}
+    return _make_report("T6", params, lhs, v.of(morrey_norm, exps.p, exps.q, 2.0))
 
 
 def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
-    """Morrey boundedness of the maximal operator on the (p, q) scale."""
+    """Morrey boundedness of M_2 on the (p, q) scale; f may be a ``Values``."""
     if not 1.0 < q <= p:
         raise ExponentOutOfRange(f"need 1 < q <= p, got q={q}, p={p}")
-    f = np.abs(as_function(space, f))
-    mf = maximal(space, f, 2.0)
-    lhs = morrey_norm(space, mf, p, q, 6.0)
-    rhs = morrey_norm(space, f, p, q, 2.0)
-    return _make_report("T7", {"p": p, "q": q}, lhs, rhs)
-
-
-def _weak_l1_reports(space, mf, l1, gammas) -> list[CheckReport]:
-    gammas = np.asarray(gammas, dtype=float)
-    lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
-    return [_make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
+    v = _values(space, f)
+    lhs = morrey_norm(space, v.of(maximal, 2.0), p, q, 6.0)
+    return _make_report("T7", {"p": p, "q": q}, lhs, v.of(morrey_norm, p, q, 2.0))
 
 
 def check_weak_L1(space, f, gammas) -> list[CheckReport]:
     """Global level sets of M_2 f against the L1 norm; report-only (the
-    constant lives in the cited literature)."""
-    f = np.abs(as_function(space, f))
-    return _weak_l1_reports(space, maximal(space, f, 2.0), lq_norm(space, f, 1.0), gammas)
+    constant lives in the cited literature), and f may be a ``Values``."""
+    v, gammas = _values(space, f), np.asarray(gammas, dtype=float)
+    mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)
+    lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
+    return [_make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
 
 
 def evaluate(
@@ -219,36 +228,25 @@ def evaluate(
     """Every report of one check on one function: per exponent triple, and
     for the ball checks (``BALL_CHECKS``) per ball in ``balls``.
 
-    This is the one dispatch over ``CHECK_IDS``.  For T1 and T3 the values
-    shared by all balls (M_2|f|, I_alpha|f| at kappa=2, the (p,1,2) Morrey
-    norm and the level grid) are computed once per function and exponent
-    triple.  The level grids span [gamma_lo, gamma_hi] times the maximum of
-    the operator whose level sets are measured.
+    This is the one dispatch over ``CHECK_IDS``.  It calls the public checks
+    on one ``Values`` (``f`` itself if it is one), so each operator value and
+    norm is computed once for all of them.  The level grids span [gamma_lo,
+    gamma_hi] times the maximum of the operator whose level sets are measured.
     """
-    f = np.abs(as_function(space, f))
+    v = _values(space, f)
 
-    def levels(values):
-        return gamma_grid(float(values.max()), gamma_lo, gamma_hi, gamma_count)
+    def levels(op, *args):
+        return gamma_grid(float(v.of(op, *args).max()), gamma_lo, gamma_hi, gamma_count)
 
-    out = []
-    if check_id == "T1":
-        mf = maximal(space, f, 2.0)
-        gam = levels(mf)
-        for exps in exponents:
-            out += _t1_reports(space, mf, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps.p, gam)
-    elif check_id == "T3":
-        for exps in exponents:
-            pot = fractional_integral(space, f, exps.alpha)
-            out += _t3_reports(space, pot, morrey_norm(space, f, exps.p, 1.0, 2.0), balls, exps, levels(pot))
-    elif check_id == "T2":
-        out = [check_T2_hedberg(space, f, exps.p, exps.alpha) for exps in exponents]
-    elif check_id == "T6":
-        out = [check_T6_strong(space, f, exps) for exps in exponents]
-    elif check_id == "T7":
-        out = [check_T7_maximal_morrey(space, f, exps.p, exps.q) for exps in exponents]
-    elif check_id == "weakL1":
-        mf = maximal(space, f, 2.0)
-        out = _weak_l1_reports(space, mf, lq_norm(space, f, 1.0), levels(mf))
-    else:
+    per_triple = {
+        "T1": lambda e: check_T1_weak_maximal(space, v, balls, e.p, levels(maximal, 2.0)),
+        "T2": lambda e: [check_T2_hedberg(space, v, e.p, e.alpha)],
+        "T3": lambda e: check_T3_weak_frac(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
+        "T6": lambda e: [check_T6_strong(space, v, e)],
+        "T7": lambda e: [check_T7_maximal_morrey(space, v, e.p, e.q)],
+    }
+    if check_id == "weakL1":
+        return check_weak_L1(space, v, levels(maximal, 2.0))
+    if check_id not in per_triple:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
-    return out
+    return [rep for e in exponents for rep in per_triple[check_id](e)]

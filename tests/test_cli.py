@@ -12,6 +12,7 @@ from morrey_lab import cli
 from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file, write_report
 from morrey_lab.extremal import OptimizerConfig
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
+from morrey_lab.theorems import CHECK_IDS
 
 BASE_CONFIG = {
     "seed": 5,
@@ -281,14 +282,17 @@ class TestRun:
             tmp_path,
             {
                 "functions": [{"id": "nan", "file": "nan.json"}],
-                "checks": ["T6", "T7"],
+                "checks": list(CHECK_IDS),
                 "output_dir": str(tmp_path / "out"),
             },
         )
         assert cli.main(["--quiet", "run", cfg]) == 3
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["verdict"] == {"pass": 0, "fail": 0, "errors": 2}
-        assert all("finite" in r["error"] for r in report["records"])
+        assert report["verdict"] == {"pass": 0, "fail": 0, "errors": 6}
+        # every check of the pair shares one Values, and each still raises
+        assert [r["check_id"] for r in report["records"]] == list(CHECK_IDS)
+        assert len({r["error"] for r in report["records"]}) == 1
+        assert "finite" in report["records"][0]["error"]
         with open(tmp_path / "out" / "records.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["error"] for r in rows] == [r["error"] for r in report["records"]]
@@ -525,41 +529,61 @@ class TestWriteReport:
 
 
 class TestSharedWork:
-    def test_plain_checks_share_balls_and_operators(self, monkeypatch):
-        """Balls are enumerated once per space, and M_2 and I_alpha run a
-        bounded number of times per (space, function), not once per ball."""
-        from morrey_lab import extremal, operators, theorems
+    def run_counted(self, monkeypatch, with_sweep):
+        """cli.run on the corpus string checks (and its sweep) with the calls
+        of enumerate_balls and the three shared operators counted per space."""
+        from morrey_lab import extremal, functions, operators, theorems
 
-        calls = {"enumerate_balls": [], "maximal": [], "fractional_integral": []}
-        for name in calls:
-            original = getattr(theorems, name)
+        calls = {"enumerate_balls": [], "maximal": [], "fractional_integral": [], "morrey_norm": []}
+        with monkeypatch.context() as m:
+            for name in calls:
+                original = getattr(theorems, name)
 
-            def counted(space, *args, _name=name, _original=original, **kwargs):
-                calls[_name].append(id(space))
-                return _original(space, *args, **kwargs)
+                def counted(space, *args, _name=name, _original=original, **kwargs):
+                    calls[_name].append(id(space))
+                    return _original(space, *args, **kwargs)
 
-            for module in (operators, theorems, extremal, cli):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+                for module in (functions, operators, theorems, extremal, cli):
+                    if getattr(module, name, None) is original:
+                        m.setattr(module, name, counted)
 
-        here = os.path.dirname(os.path.abspath(__file__))
-        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw["checks"] = [c for c in raw["checks"] if isinstance(c, str)]
-        cfg = parse_config(raw)
-        report, code = cli.run(cfg)
+            here = os.path.dirname(os.path.abspath(__file__))
+            with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+                raw = json.load(fh)
+            raw["checks"] = [c for c in raw["checks"] if isinstance(c, str) or (with_sweep and "sweep" in c)]
+            cfg = parse_config(raw)
+            report, code = cli.run(cfg)
         assert code == 0 and report["verdict"]["errors"] == 0
+        assert len(report["sweeps"]) == int(with_sweep)
+        return cfg, calls
 
+    def test_plain_checks_share_balls_and_operators(self, monkeypatch):
+        """Balls are enumerated once per space, and M_2|f|, each I_alpha|f|
+        and each Morrey norm once per (space, function): one call per
+        distinct value, for all checks and the kappa sweep together."""
+        cfg, calls = self.run_counted(monkeypatch, with_sweep=True)
         n_spaces, n_functions, n_exps = len(cfg.spaces), len(cfg.functions), len(cfg.exponents)
-        assert len(calls["enumerate_balls"]) == n_spaces
-        assert len(set(calls["enumerate_balls"])) == n_spaces
-        assert calls["maximal"] and calls["fractional_integral"]
+        assert (n_spaces, n_functions, n_exps) == (3, 5, 2)
+        assert len(calls["enumerate_balls"]) == len(set(calls["enumerate_balls"])) == n_spaces
+        # M_2|f|: one per pair
+        assert len(calls["maximal"]) == 15
+        # I_alpha|f| at kappa 2 per (pair, triple), plus the sweep's function
+        # on each space at the two kappas other than 2
+        assert len(calls["fractional_integral"]) == 30 + 6
+        # per (pair, triple): the (p,1,2) and (p,q,2) norms of f, T6's norm
+        # of I_alpha|f| and T7's norm of M_2|f|
+        assert len(calls["morrey_norm"]) == 120
         for space_id in set(calls["enumerate_balls"]):
-            # T1 and weakL1: once each per function; T2 and T7: once per
-            # exponent triple
-            assert calls["maximal"].count(space_id) <= n_functions * (2 + 2 * n_exps)
-            # T2, T3 and T6: once per exponent triple
-            assert calls["fractional_integral"].count(space_id) <= n_functions * 3 * n_exps
+            assert calls["maximal"].count(space_id) == n_functions
+            assert calls["morrey_norm"].count(space_id) == n_functions * 4 * n_exps
+
+    def test_sweep_reuses_the_checks_values(self, monkeypatch):
+        _, plain = self.run_counted(monkeypatch, with_sweep=False)
+        _, swept = self.run_counted(monkeypatch, with_sweep=True)
+        # the sweep's kappa = 2 column and its M_2|f| and norm come from T2
+        assert len(swept["maximal"]) == len(plain["maximal"])
+        assert len(swept["morrey_norm"]) == len(plain["morrey_norm"])
+        assert len(swept["fractional_integral"]) - len(plain["fractional_integral"]) == 6
 
 
 class TestShippedCorpus:

@@ -16,6 +16,7 @@ from morrey_lab.theorems import (
     CHECK_IDS,
     EmptyBall,
     UnknownCheckId,
+    Values,
     check_T1_weak_maximal,
     check_T2_hedberg,
     check_T3_weak_frac,
@@ -339,6 +340,24 @@ def per_ball_reports(space, f, check_id, exponents, balls, lo, hi, count):
     return out
 
 
+CHECKS_ON = {
+    "T1": lambda sp, f: check_T1_weak_maximal(sp, f, [(0, 1.0)], EXPS.p, [0.5]),
+    "T2": lambda sp, f: check_T2_hedberg(sp, f, EXPS.p, EXPS.alpha),
+    "T3": lambda sp, f: check_T3_weak_frac(sp, f, [(0, 1.0)], EXPS, [0.5]),
+    "T6": lambda sp, f: check_T6_strong(sp, f, EXPS),
+    "T7": lambda sp, f: check_T7_maximal_morrey(sp, f, EXPS.p, EXPS.q),
+    "weakL1": lambda sp, f: check_weak_L1(sp, f, [0.5]),
+}
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_values_of_another_space_raise(check_id):
+    sp, other = random_space(3, n=5), random_space(4, n=5)
+    CHECKS_ON[check_id](sp, Values(sp, np.ones(sp.n)))  # its own space works
+    with pytest.raises(ValueError, match="another space"):
+        CHECKS_ON[check_id](sp, Values(other, np.ones(other.n)))
+
+
 class TestEvaluate:
     def test_matches_per_ball_checkers_on_corpus(self):
         here = os.path.dirname(os.path.abspath(__file__))
@@ -402,11 +421,9 @@ def loop_ball_reports(space, values, balls, gammas, check_id, params, rhs, theor
     return out
 
 
-def loop_weak_l1_reports(space, mf, l1, gammas):
-    """``theorems._weak_l1_reports`` on the one-mask level sets, kept as the reference."""
-    gammas = np.asarray(gammas, dtype=float)
-    lhs = loop_level_masses(space, mf, np.ones(space.n, dtype=bool), gammas)
-    return [theorems._make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
+def loop_level_masses_stack(space, values, masks, gammas):
+    """``level_masses`` as a stack of one-mask loops, one row per mask."""
+    return np.array([loop_level_masses(space, values, mask, gammas) for mask in masks])
 
 
 class TestBallTables:
@@ -432,7 +449,7 @@ class TestBallTables:
                 got = reports()
                 with monkeypatch.context() as m:
                     m.setattr(theorems, "_ball_reports", loop_ball_reports)
-                    m.setattr(theorems, "_weak_l1_reports", loop_weak_l1_reports)
+                    m.setattr(theorems, "level_masses", loop_level_masses_stack)
                     want = reports()
                 assert [len(reps) for reps in got] == [len(reps) for reps in want]
                 assert got == want, i
