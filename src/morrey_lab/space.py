@@ -136,7 +136,12 @@ class MetricMeasureSpace:
 
 
 def find_violations(dist, mass) -> list[Violation]:
-    """Every violated MetricMeasureSpace invariant, with indices."""
+    """Every violated MetricMeasureSpace invariant, with indices.
+
+    The triangle check takes O(n^3) time and two n x n buffers: row i is expanded into
+    witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
+    The screen is exact: the slack v + rtol * max(v, 1) is monotone in v, also in floating
+    point, and fmin skips NaN sums, which never compare as violations."""
     dist = np.asarray(dist, dtype=float)
     mass = np.asarray(mass, dtype=float)
     out: list[Violation] = []
@@ -160,9 +165,14 @@ def find_violations(dist, mass) -> list[Violation]:
     for i, j in asym:
         if i < j:
             out.append(Violation("Asymmetry", (int(i), int(j))))
-    # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack, one i
-    # at a time so that the temporaries stay n x n
-    for i in range(n):
+    # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack
+    low, buf = np.empty((n, n)), np.empty((n, n))
+    for i in range(n):  # low[i, k]: the least d(i,j) + d(j,k) over j, NaN sums skipped
+        np.fmin.reduce(np.add(dist[i][:, None], dist, out=buf), axis=0, out=low[i])
+    bound = np.maximum(low, 1.0, out=buf)
+    bound *= TRIANGLE_RTOL
+    bound += low
+    for i in np.nonzero(np.any(dist > bound, axis=1))[0].tolist():
         via = dist[i][:, None] + dist  # via[j, k]
         viol = dist[i][None, :] > via + TRIANGLE_RTOL * np.maximum(via, 1.0)
         for j, k in np.argwhere(viol):

@@ -1,0 +1,159 @@
+"""Mutation table: small wrong edits of ``src/`` that named tests must catch.
+
+Each mutant is (file under src/morrey_lab, exact old text, new text, node ids
+that must fail).  ``python tests/mutants.py [name ...]`` applies one mutant
+at a time to a temporary copy of ``src/``, runs only its nodes in one pytest
+child against that copy, and exits 1 unless every named node fails under
+every mutant.  It first runs all named nodes on the unmutated copy, which
+must pass.  ``tests/test_mutants.py`` checks in tier-1 that every old text
+occurs exactly once, so an edit of a mutated line cannot leave the table
+stale unnoticed; the full run takes about 20 s on two cores and stays out of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    nodes: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "screen-nan-propagating-min",
+        "space.py",
+        "np.fmin.reduce(",
+        "np.minimum.reduce(",
+        ("tests/test_space.py::TestTriangleScreen::test_nan_sum_does_not_hide_a_violation",),
+    ),
+    Mutant(
+        "screen-double-slack",
+        "space.py",
+        "bound *= TRIANGLE_RTOL",
+        "bound *= 2 * TRIANGLE_RTOL",
+        ("tests/test_space.py::TestTriangleScreen::test_violation_just_past_the_slack",),
+    ),
+    Mutant(
+        "triangle-rtol-times-1e6",
+        "space.py",
+        "TRIANGLE_RTOL = 1e-12",
+        "TRIANGLE_RTOL = 1e-6",
+        ("tests/test_space.py::TestTriangleScreen::test_slack_forgives_only_rounding",),
+    ),
+    Mutant(
+        "closed-measure-open-ball",
+        "space.py",
+        'idx = np.searchsorted(self.sorted_dist[x], radii, side="right")',
+        'idx = np.searchsorted(self.sorted_dist[x], radii, side="left")',
+        (
+            "tests/test_space.py::TestBalls::test_measure_sums_atoms",
+            "tests/test_space.py::TestDoubling::test_two_point_witness",
+            "tests/test_operators.py::TestMaximal::test_two_point",
+        ),
+    ),
+    Mutant(
+        "floyd-bound-j",
+        "rng.py",
+        "t = randint_below(seed, j + 1, 0x464C, j)",
+        "t = randint_below(seed, j, 0x464C, j)",
+        (
+            "tests/test_rng.py::test_shuffle_matches_per_draw_loop",
+            "tests/test_rng.py::test_uniform_over_all_subsets",
+        ),
+    ),
+    Mutant(
+        "floyd-no-collision-rule",
+        "rng.py",
+        "chosen.add(j if t in chosen else t)",
+        "chosen.add(t)",
+        (
+            "tests/test_rng.py::test_shuffle_matches_per_draw_loop",
+            "tests/test_rng.py::test_sample_is_a_sorted_subset",
+        ),
+    ),
+    Mutant(
+        "t2-ignores-kappa",
+        "theorems.py",
+        "pot = v.of(fractional_integral, alpha, kappa)",
+        "pot = v.of(fractional_integral, alpha, 2.0)",
+        (
+            "tests/test_extremal.py::TestKappaSweep::test_kappa1_dominates_kappa2",
+            "tests/test_cli.py::TestSharedWork::test_sweep_reuses_the_checks_values",
+        ),
+    ),
+    Mutant(
+        "memo-key-without-arguments",
+        "theorems.py",
+        "key = (op, args)",
+        "key = (op,)",
+        (
+            "tests/test_theorems.py::TestEvaluate::test_matches_per_ball_checkers_on_corpus",
+            "tests/test_cli.py::TestSharedWork::test_plain_checks_share_balls_and_operators",
+        ),
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Rewrite the one occurrence of ``mutant.old`` in the copy at ``src``."""
+    path = src / "morrey_lab" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_nodes(src: Path, nodes) -> tuple[int, set[str]]:
+    """Run ``nodes`` with the package imported from ``src``; the exit code
+    and the ids of the failed tests."""
+    env = dict(os.environ, PYTHONPATH=str(src))  # also for CLI child processes
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *nodes]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    return proc.returncode, failed
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="morrey-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        shutil.copytree(SRC, clean, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        code, failed = run_nodes(clean, sorted({node for m in chosen for node in m.nodes}))
+        if code != 0:
+            print(f"unmutated: the named nodes do not pass (exit {code}): {sorted(failed)}")
+            return 1
+        for i, mutant in enumerate(chosen):
+            src = Path(tmp) / f"m{i}"
+            shutil.copytree(clean, src)
+            apply(mutant, src)
+            _, failed = run_nodes(src, mutant.nodes)
+            survived = [node for node in mutant.nodes if not any(f == node or f.startswith(node + "[") for f in failed)]
+            ok &= bool(mutant.nodes) and not survived
+            print(f"{mutant.name}: {'caught' if mutant.nodes and not survived else 'SURVIVED'}"
+                  f" ({len(mutant.nodes) - len(survived)}/{len(mutant.nodes)} nodes fail)")
+            for node in survived:
+                print(f"  passes under the mutant: {node}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.space import (
     CLOSED,
     OPEN,
@@ -239,6 +240,49 @@ def cube_find_violations(dist, mass):
     return out
 
 
+def row_find_violations(dist, mass):
+    """The row loop that expanded every row of the triangle check into
+    witnesses, kept as the reference for the min-plus screen."""
+    dist = np.asarray(dist, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    out = []
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        return [Violation("Shape", (dist.shape,))]
+    n = dist.shape[0]
+    if mass.shape != (n,):
+        return [Violation("Shape", (mass.shape,))]
+    if n == 0:
+        return [Violation("Shape", ("no points",))]
+    for i in np.nonzero(np.diag(dist) != 0.0)[0]:
+        out.append(Violation("NonzeroDiagonal", (int(i),)))
+    for i, j in np.argwhere(dist < 0.0):
+        out.append(Violation("NegativeDistance", (int(i), int(j))))
+    for i, j in np.argwhere(dist != dist.T):
+        if i < j:
+            out.append(Violation("Asymmetry", (int(i), int(j))))
+    for i in range(n):
+        via = dist[i][:, None] + dist  # via[j, k]
+        viol = dist[i][None, :] > via + TRIANGLE_RTOL * np.maximum(via, 1.0)
+        for j, k in np.argwhere(viol):
+            if i != j and j != k:
+                out.append(Violation("TriangleViolation", (i, int(j), int(k))))
+    for i in np.nonzero(~(mass > 0.0))[0]:
+        out.append(Violation("NonpositiveMass", (int(i),)))
+    if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
+        out.append(Violation("Shape", ("non-finite entries",)))
+    return out
+
+
+def assert_same_violations(dist, mass):
+    """find_violations equals both references, down to the index types."""
+    got = find_violations(dist, mass)
+    assert got == row_find_violations(dist, mass) == cube_find_violations(dist, mass)
+    for v in got:
+        if v.kind != "Shape":
+            assert all(type(i) is int for i in v.indices), v
+    return got
+
+
 class TestTables:
     def test_doubling_ratio_equals_per_point_loop(self):
         for i, sp in enumerate(reference_spaces()):
@@ -276,8 +320,7 @@ class TestTables:
             inputs.append((dist, mass))
         n_invalid = 0
         for dist, mass in inputs:
-            got = find_violations(dist, mass)
-            assert got == cube_find_violations(dist, mass)
+            got = assert_same_violations(dist, mass)
             n_invalid += bool(got)
         assert n_invalid >= 30
 
@@ -285,3 +328,44 @@ class TestTables:
         assert find_violations(np.zeros((0, 0)), np.zeros(0)) == [Violation("Shape", ("no points",))]
         with pytest.raises(InvalidSpaceError):
             validate_space(np.zeros((0, 0)), np.zeros(0))
+
+
+class TestTriangleScreen:
+    """The per-row min-plus screen flags exactly the rows that the full
+    expansion finds a triangle violation in."""
+
+    def test_nan_sum_does_not_hide_a_violation(self):
+        dist = np.ones((4, 4)) - np.eye(4)
+        dist[0, 3] = dist[3, 0] = 3.0  # violated through 1 and through 2
+        dist[0, 1] = np.nan  # every sum through j=1 in row 0 is NaN
+        got = assert_same_violations(dist, np.ones(4))
+        triangles = [v.indices for v in got if v.kind == "TriangleViolation"]
+        assert triangles == [(0, 2, 3), (3, 1, 0), (3, 2, 0)]
+
+    def test_violation_just_past_the_slack(self):
+        # two clusters 10 apart; in each, d(a, c) exceeds d(a, b) + d(b, c) = 2
+        # by a multiple of the slack TRIANGLE_RTOL * 2
+        dist = np.full((6, 6), 10.0)
+        for base, excess in ((0, 1.5), (3, 0.5)):
+            block = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+            block[0, 2] = block[2, 0] = 2.0 + excess * TRIANGLE_RTOL * 2.0
+            dist[base : base + 3, base : base + 3] = block
+        got = assert_same_violations(dist, np.ones(6))
+        assert got == [Violation("TriangleViolation", (0, 1, 2)), Violation("TriangleViolation", (2, 1, 0))]
+
+    def test_slack_forgives_only_rounding(self):
+        # a few ulps of excess pass, a relative excess of 1e-9 is a violation
+        for excess, want in ((4 * np.spacing(2.0), 0), (2e-9, 2)):
+            dist = np.array([[0.0, 1.0, 2.0 + excess], [1.0, 0.0, 1.0], [2.0 + excess, 1.0, 0.0]])
+            assert len(assert_same_violations(dist, np.ones(3))) == want
+
+    def test_random_points_with_one_stretched_distance(self):
+        sp = generate_space(SpaceSpec("random-points", n=160, dim=2, seed=3))
+        assert find_violations(sp.dist, sp.mass) == []
+        for i, j, factor, triangles in ((17, 101, 1.5, 11), (40, 41, 3.0, 158), (159, 0, 1.0 + 1e-9, 0)):
+            dist = sp.dist.copy()
+            dist[i, j] *= factor
+            got = find_violations(dist, sp.mass)
+            assert got == row_find_violations(dist, sp.mass)
+            assert got[0] == Violation("Asymmetry", (min(i, j), max(i, j)))
+            assert sum(v.kind == "TriangleViolation" for v in got) == triangles
