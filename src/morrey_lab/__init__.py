@@ -4,21 +4,16 @@ inequalities and a reproducible experiment harness."""
 
 __version__ = "0.2.0"
 
-from .functions import ExponentSet, lq_norm, morrey_norm, level_set_measure
+from .functions import ExponentSet, lq_norm, morrey_norm
 from .generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from .operators import (
     fractional_integral,
     hedberg_constant,
     hedberg_layer_sum,
-    layer_radii,
     maximal,
 )
 from .space import (
-    BallSpec,
     MetricMeasureSpace,
-    ball_measure,
-    ball_members,
-    breakpoints,
     doubling_ratio,
     validate_space,
 )
@@ -32,14 +27,10 @@ from .theorems import (
 )
 
 __all__ = [
-    "BallSpec",
     "ExponentSet",
     "FunctionSpec",
     "MetricMeasureSpace",
     "SpaceSpec",
-    "ball_measure",
-    "ball_members",
-    "breakpoints",
     "check_T1_weak_maximal",
     "check_T2_hedberg",
     "check_T3_weak_frac",
@@ -52,8 +43,6 @@ __all__ = [
     "generate_space",
     "hedberg_constant",
     "hedberg_layer_sum",
-    "layer_radii",
-    "level_set_measure",
     "lq_norm",
     "maximal",
     "morrey_norm",

@@ -170,6 +170,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         {"seed": 0, "gamma_grid": {}, "output_dir": "morrey-lab-out"},
     )
     seed = _coerce("config", "seed", int, top["seed"])
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"config: seed must lie in [0, 2**64), got {seed}")
     for key in ("spaces", "functions", "exponents", "checks"):
         _list(key, top[key])
     spaces = [_parse_space_entry(s, i, rng.u64(seed, 1, i) >> 1) for i, s in enumerate(top["spaces"])]
@@ -260,7 +262,9 @@ def _read_space_doc(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     ent = _take(doc, path, ("n", "dist", "mass"), {})
-    n = int(ent["n"])
+    n = ent["n"]
+    if type(n) is not int:  # a bool is an int subclass, and int() would truncate 2.9
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     return np.asarray(ent["dist"], dtype=float).reshape(n, n), np.asarray(ent["mass"], dtype=float)
 
 

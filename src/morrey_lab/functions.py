@@ -56,35 +56,20 @@ def as_function(space: MetricMeasureSpace, values) -> np.ndarray:
     return f
 
 
-def _region_mask(space: MetricMeasureSpace, region) -> np.ndarray:
-    """A region as a bool mask over X: None is all of X, a bool array is the
-    mask itself, anything else is a set of point indices (repeats count once)."""
-    if region is None:
-        return np.ones(space.n, dtype=bool)
-    idx = region if isinstance(region, np.ndarray) else np.fromiter(region, dtype=int)
-    if idx.dtype == bool:
-        return idx
-    mask = np.zeros(space.n, dtype=bool)
-    if idx.size:
-        mask[idx] = True
-    return mask
-
-
-def lq_norm(space: MetricMeasureSpace, f, q: float, region=None) -> float:
-    """(sum_{i in region} |f(x_i)|^q mass_i)^{1/q}; region defaults to X."""
+def lq_norm(space: MetricMeasureSpace, f, q: float) -> float:
+    """(sum_i |f(x_i)|^q mass_i)^{1/q}."""
     if q < 1.0:
         raise ExponentOutOfRange(f"q must be >= 1, got {q}")
     f = as_function(space, f)
-    w = np.abs(f) ** q * space.mass
-    return float(np.sum(w[_region_mask(space, region)]) ** (1.0 / q))
+    return float(np.sum(np.abs(f) ** q * space.mass) ** (1.0 / q))
 
 
 def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float = 1.0) -> float:
     """sup over x, r>0 of mu(B(x,kr))^{1/p-1/q} (int_{B(x,r)} |f|^q dmu)^{1/q}.
 
-    Exact: the integral is constant between breakpoints and the normalizer
-    carries a nonpositive exponent, so the sup per interval sits at the left
-    endpoint's right limit, i.e. closed balls at breakpoints.
+    Exact: the integral is constant between breakpoint radii and the
+    normalizer carries a nonpositive exponent, so the sup per interval sits at
+    the left endpoint's right limit, i.e. closed balls at breakpoint radii.
     """
     if not 1.0 <= q <= p:
         raise ExponentOutOfRange(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -104,9 +89,3 @@ def level_masses(space: MetricMeasureSpace, values: np.ndarray, masks: np.ndarra
     weights = masks[:, order] * space.mass[order]
     tail = np.concatenate([np.cumsum(weights[:, ::-1], axis=1)[:, ::-1], np.zeros((len(masks), 1))], axis=1)
     return tail[:, np.searchsorted(values[order], gammas, side="right")]
-
-
-def level_set_measure(space: MetricMeasureSpace, g, region, gamma: float) -> float:
-    """mu{x in region : g(x) > gamma} (strict inequality)."""
-    g = as_function(space, g)
-    return float(level_masses(space, g, _region_mask(space, region)[None], np.array([gamma], dtype=float))[0, 0])

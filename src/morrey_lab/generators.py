@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .space import CLOSED, BallSpec, MetricMeasureSpace, ball_members, validate_space
+from .space import MetricMeasureSpace, validate_space
 
 SPACE_FAMILIES = ("grid", "gaussian-grid", "radial-decay-grid", "ultrametric-tree", "random-points")
 FUNCTION_FAMILIES = ("constant", "ball-indicator", "power-spike", "random-sparse", "random-uniform")
@@ -42,6 +42,8 @@ class SpaceSpec:
             raise InvalidSpec(f"counts must be positive: {self}")
         if self.halfwidth <= 0.0 or self.beta < 0.0:
             raise InvalidSpec(f"need halfwidth > 0 and beta >= 0: {self}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class FunctionSpec:
             raise InvalidSpec(f"unknown function family {self.family!r}")
         if self.value < 0.0 or self.cap <= 0.0 or not 0.0 <= self.density <= 1.0:
             raise InvalidSpec(f"bad function parameters: {self}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def _euclidean(points: np.ndarray) -> np.ndarray:
@@ -127,10 +131,7 @@ def generate_function(space: MetricMeasureSpace, spec: FunctionSpec) -> np.ndarr
     if spec.family == "ball-indicator":
         if not 0 <= spec.center < n:
             raise InvalidSpec(f"center {spec.center} out of range for n={n}")
-        members = ball_members(space, BallSpec(spec.center, spec.radius, CLOSED))
-        f = np.zeros(n)
-        f[list(members)] = spec.value
-        return f
+        return np.where(space.dist[spec.center] <= spec.radius, spec.value, 0.0)
     if spec.family == "power-spike":
         if not 0 <= spec.center < n:
             raise InvalidSpec(f"center {spec.center} out of range for n={n}")

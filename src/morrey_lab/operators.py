@@ -17,8 +17,8 @@ from .space import MetricMeasureSpace
 def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
     """M_k f(x) = sup_{r>0} mu(B(x,kr))^{-1} int_{B(x,r)} |f| dmu.
 
-    Exact breakpoint enumeration: the numerator is constant between
-    breakpoints of x and the normalizer is nondecreasing, so each interval
+    Exact breakpoint enumeration: the numerator is constant between the
+    breakpoint radii of x and the normalizer is nondecreasing, so each interval
     sup is the closed-ball value at the left breakpoint.
     """
     if k < 1.0:
@@ -50,24 +50,18 @@ def default_k_range(space: MetricMeasureSpace) -> tuple[int, int]:
     return lo, hi
 
 
-def _layer_table(space: MetricMeasureSpace, lo: int, hi: int, rows=slice(None)) -> np.ndarray:
-    """R[i, k - lo] = R_k(x) (see ``layer_radii``) for the points x = rows[i]
-    and lo <= k <= hi; the padded inf column stands for "no ball exceeds 2^k"."""
-    cs = space.csum0[rows, 1:]  # closed-ball mass at each sorted position
-    first_above = np.stack([np.count_nonzero(cs <= 2.0**k, axis=1) for k in range(lo, hi + 1)], axis=1)
-    sd = np.concatenate([space.sorted_dist[rows], np.full((len(cs), 1), math.inf)], axis=1)
-    return np.take_along_axis(sd, first_above, axis=1) / 2.0
-
-
-def layer_radii(space: MetricMeasureSpace, x: int, k_range: tuple[int, int] | None = None) -> dict[int, float]:
-    """R_k(x): the smallest R with mu(B(x, 2R)) > 2^k, as a map k -> radius.
+def _layer_table(space: MetricMeasureSpace, lo: int, hi: int) -> np.ndarray:
+    """R[x, k - lo] = R_k(x), the smallest R with mu(B(x, 2R)) > 2^k (closed
+    ball), for lo <= k <= hi.
 
     On a finite space R_k(x) = t/2 where t is the first breakpoint whose
-    closed ball exceeds mass 2^k; infinity when the total mass never does.
+    closed ball exceeds mass 2^k; the padded inf column stands for "no ball
+    exceeds 2^k".
     """
-    space.check_index(x)
-    lo, hi = default_k_range(space) if k_range is None else k_range
-    return dict(zip(range(lo, hi + 1), _layer_table(space, lo, hi, [x])[0].tolist()))
+    cs = space.csum0[:, 1:]  # closed-ball mass at each sorted position
+    first_above = np.stack([np.count_nonzero(cs <= 2.0**k, axis=1) for k in range(lo, hi + 1)], axis=1)
+    sd = np.concatenate([space.sorted_dist, np.full((space.n, 1), math.inf)], axis=1)
+    return np.take_along_axis(sd, first_above, axis=1) / 2.0
 
 
 def hedberg_constant(p: float, alpha: float) -> float:

@@ -13,23 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-OPEN = "open"
-CLOSED = "closed"
-
 # Relative slack for the triangle-inequality check.  Euclidean distances
 # computed in floating point can miss the exact inequality by a few ulps.
 TRIANGLE_RTOL = 1e-12
 
 
-class SpaceError(Exception):
-    pass
-
-
-class IndexOutOfRange(SpaceError):
-    pass
-
-
-class InvalidSpaceError(SpaceError):
+class InvalidSpaceError(Exception):
     def __init__(self, violations):
         self.violations = list(violations)
         lines = ", ".join(str(v) for v in self.violations[:8])
@@ -46,13 +35,6 @@ class Violation:
 
     def __str__(self):
         return f"{self.kind}{self.indices}"
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    center: int
-    radius: float
-    closure: str = CLOSED
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +82,6 @@ class MetricMeasureSpace:
     @property
     def diameter(self) -> float:
         return float(self.sorted_dist[:, -1].max())
-
-    def check_index(self, x: int):
-        if not 0 <= x < self.n:
-            raise IndexOutOfRange(f"point index {x} out of range [0, {self.n})")
 
     def closed_measure(self, x: int, radii):
         """mu(closed ball(x, r)) for scalar or array radii."""
@@ -193,38 +171,11 @@ def validate_space(dist, mass) -> MetricMeasureSpace:
     return MetricMeasureSpace(np.asarray(dist, dtype=float), np.asarray(mass, dtype=float))
 
 
-def ball_members(space: MetricMeasureSpace, ball: BallSpec) -> set[int]:
-    space.check_index(ball.center)
-    d = space.dist[ball.center]
-    if ball.closure == CLOSED:
-        mask = d <= ball.radius
-    elif ball.closure == OPEN:
-        mask = d < ball.radius
-    else:
-        raise ValueError(f"unknown closure {ball.closure!r}")
-    return set(int(i) for i in np.nonzero(mask)[0])
-
-
-def ball_measure(space: MetricMeasureSpace, ball: BallSpec) -> float:
-    space.check_index(ball.center)
-    if ball.closure == CLOSED:
-        return float(space.closed_measure(ball.center, ball.radius))
-    if ball.closure == OPEN:
-        return float(space.open_measure(ball.center, ball.radius))
-    raise ValueError(f"unknown closure {ball.closure!r}")
-
-
-def breakpoints(space: MetricMeasureSpace, x: int) -> np.ndarray:
-    """Sorted distinct distances from x; always starts at 0."""
-    space.check_index(x)
-    return np.unique(space.dist[x])
-
-
 def doubling_ratio(space: MetricMeasureSpace) -> tuple[float, tuple[int, float]]:
     """sup over x and r > 0 of mu(B(x,2r)) / mu(B(x,r)), with its witness.
 
-    Both ball measures are piecewise constant in r, jumping at breakpoints
-    (denominator) and half-breakpoints (numerator), so the sup of the
+    Both ball measures are piecewise constant in r, jumping at breakpoint
+    radii (denominator) and at half of them (numerator), so the sup of the
     right-limit evaluation is attained on {0} u bp(x) u bp(x)/2 with closed
     balls.
     """

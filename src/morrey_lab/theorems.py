@@ -76,7 +76,7 @@ def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: i
 def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -> list[tuple[int, float]]:
     """Deterministic (center, radius) pairs covering the ball quantifier.
 
-    All centers with radii breakpoints(a) * {0.5, 1, 1.5}, positive and
+    All centers a with radii d(a, y) * {0.5, 1, 1.5}, positive and
     capped at the diameter, deduplicated, then a seeded uniform sample of
     at most ``limit`` pairs (``rng.sample_indices``).  The kept pairs stay
     in enumeration order: by center, then by increasing radius.  Only they

@@ -7,7 +7,7 @@ child against that copy, and exits 1 unless every named node fails under
 every mutant.  It first runs all named nodes on the unmutated copy, which
 must pass.  ``tests/test_mutants.py`` checks in tier-1 that every old text
 occurs exactly once, so an edit of a mutated line cannot leave the table
-stale unnoticed; the full run takes about 20 s on two cores and stays out of tier-1.
+stale unnoticed; the full run takes about a minute on two cores and stays out of tier-1.
 """
 
 from __future__ import annotations
@@ -103,6 +103,43 @@ MUTANTS = (
         (
             "tests/test_theorems.py::TestEvaluate::test_matches_per_ball_checkers_on_corpus",
             "tests/test_cli.py::TestSharedWork::test_plain_checks_share_balls_and_operators",
+        ),
+    ),
+    Mutant(
+        "layer-radius-open-ball",
+        "operators.py",
+        "cs = space.csum0[:, 1:]",
+        "cs = space.csum0[:, :-1]",
+        (
+            "tests/test_operators.py::TestLayerRadii::test_two_point_scan",
+            "tests/test_operators.py::TestLayerTable::test_layers_equal_per_point_loops_bitwise",
+        ),
+    ),
+    Mutant(
+        "doubling-last-witness",
+        "space.py",
+        "x = int(np.argmax(row_max == best))",
+        "x = int(len(row_max) - 1 - np.argmax(row_max[::-1] == best))",
+        ("tests/test_space.py::TestTables::test_doubling_ratio_equals_per_point_loop",),
+    ),
+    Mutant(
+        "report-row-boundary",
+        "cli.py",
+        '"\\n    },\\n    {\\n      "',
+        '"\\n    },{\\n      "',
+        (
+            "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
+            "tests/test_cli.py::TestWriteReport::test_random_reports",
+        ),
+    ),
+    Mutant(
+        "ball-indicator-open-ball",
+        "generators.py",
+        "space.dist[spec.center] <= spec.radius",
+        "space.dist[spec.center] < spec.radius",
+        (
+            "tests/test_generators.py::TestFunctions::test_ball_indicator_zero_radius",
+            "tests/test_generators.py::TestFunctions::test_ball_indicator_equals_membership_loop",
         ),
     ),
 )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from morrey_lab import cli
 from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file, write_report
 from morrey_lab.extremal import OptimizerConfig
-from morrey_lab.generators import SpaceSpec, generate_function, generate_space
+from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from morrey_lab.theorems import CHECK_IDS
 
 BASE_CONFIG = {
@@ -182,6 +182,8 @@ class TestConfigErrorsExitTwo:
             ("functions", "words.json", ["a", "b", "c", "d"]),
             ("functions", "object.json", {"values": [1, 2, 3, 4]}),
             ("functions", "short.json", [1, 2]),
+            ("spaces", "fractional-n.json", {"n": 2.9, "dist": [0, 1, 1, 0], "mass": [1, 1]}),
+            ("spaces", "boolean-n.json", {"n": True, "dist": [0], "mass": [1]}),
         ],
     )
     def test_bad_input_file(self, tmp_path, capsys, kind, name, content):
@@ -190,6 +192,36 @@ class TestConfigErrorsExitTwo:
         code, err = self.run_with(tmp_path, capsys, {kind: [{"id": "x", "file": name}]})
         assert code == 2
         assert err.startswith(f"config error: cannot use input file {tmp_path / name}")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
+    @pytest.mark.parametrize(
+        "where,context",
+        [("config", "config"), ("--seed", "config"), ("space", "spaces[0]"), ("function", "functions[0]"), ("gen", "spaces[0]")],
+    )
+    def test_seed_out_of_range(self, tmp_path, capsys, where, context, seed):
+        """A seed outside [0, 2**64) cannot be hashed; every path that takes one stops with exit 2."""
+        out = str(tmp_path / "out")
+        if where == "gen":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"family": "random-points", "n": 4, "seed": seed}))
+            code = cli.main(["gen", str(spec), "-o", str(tmp_path / "space.json")])
+        elif where == "--seed":
+            code = cli.main(["--quiet", "run", write_config(tmp_path), "--seed", str(seed), "--out", out])
+        else:
+            overrides = {
+                "config": {"seed": seed},
+                "space": {"spaces": [{"id": "r", "family": "random-points", "n": 4, "seed": seed}]},
+                "function": {"functions": [{"id": "u", "family": "random-uniform", "seed": seed}]},
+            }[where]
+            code = cli.main(["--quiet", "run", write_config(tmp_path, overrides), "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {context}: seed must lie in [0, 2**64), got {seed}")
+        assert not os.path.exists(out) and not (tmp_path / "space.json").exists()
+
+    def test_largest_seed_is_accepted(self):
+        assert parse_config(dict(BASE_CONFIG, seed=2**64 - 1)).seed == 2**64 - 1
+        sp = generate_space(SpaceSpec("random-points", n=4, seed=2**64 - 1))
+        assert generate_function(sp, FunctionSpec("random-uniform", seed=2**64 - 1)).shape == (4,)
 
     @pytest.mark.parametrize("family", ["ball-indicator", "power-spike"])
     def test_function_center_out_of_range(self, tmp_path, capsys, family):
@@ -231,6 +263,14 @@ class TestSpaceFiles:
         path.write_text(json.dumps({"n": [2], "dist": [0, 1, 1, 0], "mass": [1, 1]}))
         assert cli.main(["validate", str(path)]) == 2
         assert "cannot read space file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2.9, True], ids=["fractional", "boolean"])
+    def test_validate_non_integral_count_exits_two(self, tmp_path, capsys, n):
+        # int() would read 2.9 as 2 and true as 1 and accept the file
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps({"n": n, "dist": [0.0] * int(n) ** 2, "mass": [1.0] * int(n)}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "'n' must be an integer" in capsys.readouterr().err
 
     def test_gen_then_validate(self, tmp_path):
         spec = tmp_path / "spec.json"

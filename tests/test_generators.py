@@ -11,6 +11,13 @@ from morrey_lab.generators import (
 from morrey_lab.space import doubling_ratio, find_violations
 
 
+def loop_ball_indicator(space, center, radius, value):
+    """The membership-set construction that the distance mask replaced, kept as the reference."""
+    f = np.zeros(space.n)
+    f[[y for y in range(space.n) if space.dist[center, y] <= radius]] = value
+    return f
+
+
 class TestSpaces:
     def test_lebesgue_grid_normalization(self):
         sp = generate_space(SpaceSpec("grid", n=4, dim=1, halfwidth=0.5))
@@ -91,6 +98,17 @@ class TestFunctions:
     def test_ball_indicator_zero_radius(self):
         f = generate_function(self.sp, FunctionSpec("ball-indicator", center=3, radius=0.0, value=2.0))
         assert f[3] == 2.0 and np.count_nonzero(f) == 1
+
+    def test_ball_indicator_equals_membership_loop(self):
+        # the closed ball at every distance from the center, ties included
+        specs = (SpaceSpec("grid", n=6, dim=2), SpaceSpec("ultrametric-tree", depth=4), SpaceSpec("random-points", n=24, dim=2, seed=3))
+        for spec in specs:
+            sp = generate_space(spec)
+            for center in range(0, sp.n, 5):
+                for radius in np.unique(sp.dist[center]):
+                    spec_f = FunctionSpec("ball-indicator", center=center, radius=float(radius), value=2.0)
+                    f = generate_function(sp, spec_f)
+                    assert np.array_equal(f, loop_ball_indicator(sp, center, float(radius), 2.0)), (spec.family, center)
 
     def test_power_spike_capped(self):
         f = generate_function(self.sp, FunctionSpec("power-spike", center=0, beta=2.0, cap=10.0))

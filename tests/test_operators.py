@@ -6,11 +6,11 @@ import pytest
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.operators import (
+    _layer_table,
     default_k_range,
     fractional_integral,
     hedberg_constant,
     hedberg_layer_sum,
-    layer_radii,
     maximal,
 )
 from morrey_lab.space import MetricMeasureSpace
@@ -141,6 +141,12 @@ class TestFractionalIntegral:
             prev = cur
 
 
+def layer_radii(space, x, k_range):
+    """{k: R_k(x)} for (lo, hi) = k_range, read from row x of ``_layer_table``."""
+    lo, hi = k_range
+    return dict(zip(range(lo, hi + 1), _layer_table(space, lo, hi)[x].tolist()))
+
+
 class TestLayerRadii:
     def test_single_point_step(self):
         sp = single_point_space(mass=1.0)
@@ -160,11 +166,10 @@ class TestLayerRadii:
     def test_nondecreasing_in_k(self):
         for seed in range(8):
             sp = random_space(seed)
-            for x in range(sp.n):
-                radii = layer_radii(sp, x)
-                ks = sorted(radii)
-                vals = [radii[k] for k in ks]
-                assert vals == sorted(vals)
+            lo, hi = default_k_range(sp)
+            table = _layer_table(sp, lo, hi)
+            assert table.shape == (sp.n, hi - lo + 1)
+            assert np.all(table[:, 1:] >= table[:, :-1])
 
     def test_default_range_saturates(self):
         sp = random_space(3)
@@ -301,7 +306,7 @@ class TestDilatedTable:
 
 
 def loop_layer_radii(space, x, k_range=None):
-    """The per-point loop that ``layer_radii`` replaced, kept as the reference."""
+    """The per-point loop that ``_layer_table`` replaced, kept as the reference."""
     lo, hi = default_k_range(space) if k_range is None else k_range
     sd = space.sorted_dist[x]
     cs = space.csum0[x][1:]
@@ -341,9 +346,10 @@ class TestLayerTable:
     def test_layers_equal_per_point_loops_bitwise(self):
         for i, sp in enumerate(reference_spaces()):
             lo, hi = default_k_range(sp)
-            for k_range in (None, (lo - 2, hi + 2), (-3, 3)):
+            for k_range in ((lo, hi), (lo - 2, hi + 2), (-3, 3)):
+                table = _layer_table(sp, *k_range)
                 for x in range(sp.n):
-                    assert layer_radii(sp, x, k_range) == loop_layer_radii(sp, x, k_range), (i, k_range, x)
+                    assert table[x].tolist() == list(loop_layer_radii(sp, x, k_range).values()), (i, k_range, x)
             g = np.random.default_rng(i + 700)
             fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
             for f in fs:

@@ -3,16 +3,9 @@ import pytest
 
 from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.space import (
-    CLOSED,
-    OPEN,
     TRIANGLE_RTOL,
-    BallSpec,
-    IndexOutOfRange,
     InvalidSpaceError,
     Violation,
-    ball_measure,
-    ball_members,
-    breakpoints,
     doubling_ratio,
     find_violations,
     validate_space,
@@ -63,76 +56,67 @@ class TestValidate:
 class TestBalls:
     def test_closed_boundary_inclusion(self):
         sp = two_point_space()
-        assert ball_members(sp, BallSpec(0, 1.0, CLOSED)) == {0, 1}
+        assert sp.closed_measure(0, 1.0) == 2.0
 
     def test_open_boundary_exclusion(self):
         sp = two_point_space()
-        assert ball_members(sp, BallSpec(0, 1.0, OPEN)) == {0}
+        assert sp.open_measure(0, 1.0) == 1.0
 
     def test_closed_zero_radius_contains_center(self):
         for seed in range(5):
             sp = random_space(seed)
             for x in range(sp.n):
-                assert x in ball_members(sp, BallSpec(x, 0.0, CLOSED))
+                assert sp.closed_measure(x, 0.0) >= sp.mass[x]
 
     def test_open_zero_radius_empty(self):
         sp = two_point_space()
-        assert ball_members(sp, BallSpec(0, 0.0, OPEN)) == set()
-        assert ball_measure(sp, BallSpec(0, 0.0, OPEN)) == 0.0
+        assert sp.open_measure(0, 0.0) == 0.0
 
     def test_measure_sums_atoms(self):
         sp = two_point_space(masses=(1.0, 2.0))
-        assert ball_measure(sp, BallSpec(0, 1.0, CLOSED)) == 3.0
+        assert sp.closed_measure(0, 1.0) == 3.0
 
     def test_single_point_whole_space(self):
         sp = single_point_space(mass=0.7)
-        assert ball_measure(sp, BallSpec(0, 5.0, CLOSED)) == 0.7
-
-    def test_index_out_of_range(self):
-        sp = two_point_space()
-        with pytest.raises(IndexOutOfRange):
-            ball_members(sp, BallSpec(5, 1.0, CLOSED))
+        assert sp.closed_measure(0, 5.0) == 0.7
 
     def test_monotonicity_in_radius(self):
         for seed in range(10):
             sp = random_space(seed)
             x = seed % sp.n
             radii = np.sort(np.random.default_rng(seed).uniform(0, 2.5, size=8))
-            for closure in (OPEN, CLOSED):
-                prev = set()
-                for r in radii:
-                    cur = ball_members(sp, BallSpec(x, float(r), closure))
-                    assert prev <= cur
-                    prev = cur
+            for measure in (sp.open_measure, sp.closed_measure):
+                assert np.all(np.diff(measure(x, radii)) >= 0.0)
 
 
 class TestBreakpoints:
+    """The breakpoints of x are the distinct entries of ``sorted_dist[x]``."""
+
     def test_line_endpoint(self):
         sp = line_space([0.0, 1.0, 2.0])
-        assert breakpoints(sp, 0).tolist() == [0.0, 1.0, 2.0]
+        assert sp.sorted_dist[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_single_point(self):
-        assert breakpoints(single_point_space(), 0).tolist() == [0.0]
+        assert single_point_space().sorted_dist[0].tolist() == [0.0]
 
     def test_deduplication(self):
+        # a tied distance is one breakpoint: both atoms enter the ball at once
         sp = line_space([-1.0, 0.0, 1.0])
-        assert breakpoints(sp, 1).tolist() == [0.0, 1.0]
+        assert sp.sorted_dist[1].tolist() == [0.0, 1.0, 1.0]
+        assert sp.open_measure(1, 1.0) == 1.0 and sp.closed_measure(1, 1.0) == 3.0
 
     def test_right_limit_identity(self):
-        # closed ball at a breakpoint = intersection of open balls just above
+        # closed ball at a breakpoint = open balls just above it
         for seed in range(10):
             sp = random_space(seed)
             for x in range(sp.n):
-                bp = breakpoints(sp, x)
+                bp = np.unique(sp.sorted_dist[x])
                 gaps = np.diff(bp)
                 g = float(gaps.min()) / 2.0 if gaps.size else 0.5
                 for rho in bp:
-                    closed = ball_members(sp, BallSpec(x, float(rho), CLOSED))
-                    inter = None
+                    closed = sp.closed_measure(x, float(rho))
                     for eps in (g, g / 10.0, g / 100.0):
-                        members = ball_members(sp, BallSpec(x, float(rho) + eps, OPEN))
-                        inter = members if inter is None else inter & members
-                    assert inter == closed
+                        assert sp.open_measure(x, float(rho) + eps) == closed
 
 
 class TestDoubling:
@@ -172,25 +156,23 @@ class TestEngulfing:
             sp = random_space(seed, n=10)
             checked = 0
             for a in range(sp.n):
-                for rb in breakpoints(sp, a):
+                for rb in np.unique(sp.dist[a]):
                     for mult in (0.5, 1.0, 1.5):
                         r = float(rb) * mult
                         if r <= 0:
                             continue
-                        inner = ball_members(sp, BallSpec(a, r, OPEN))
-                        outer3 = ball_members(sp, BallSpec(a, 3 * r, OPEN))
-                        far = set(range(sp.n)) - outer3
-                        if not inner or not far:
+                        inner = sp.dist[a] < r
+                        far = sp.dist[a] >= 3 * r
+                        if not inner.any() or not far.any():
                             continue
-                        for c in inner:
-                            for rho_b in breakpoints(sp, c):
+                        for c in np.nonzero(inner)[0]:
+                            for rho_b in np.unique(sp.dist[c]):
                                 for m2 in (0.5, 1.0, 1.5):
                                     rho = float(rho_b) * m2
-                                    ball = ball_members(sp, BallSpec(c, rho, OPEN))
-                                    if not (ball & far):
+                                    if not (far & (sp.dist[c] < rho)).any():
                                         continue
-                                    doubled = ball_members(sp, BallSpec(c, 2 * rho, OPEN))
-                                    assert inner <= doubled
+                                    doubled = sp.dist[c] < 2 * rho
+                                    assert np.all(doubled[inner])
                                     checked += 1
             assert checked > 0
 

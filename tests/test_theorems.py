@@ -7,7 +7,7 @@ import pytest
 
 from morrey_lab import theorems
 from morrey_lab.cli import parse_config
-from morrey_lab.functions import ExponentSet, _region_mask, level_set_measure
+from morrey_lab.functions import ExponentSet, level_masses
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import sample_indices
@@ -454,19 +454,20 @@ class TestBallTables:
                 assert [len(reps) for reps in got] == [len(reps) for reps in want]
                 assert got == want, i
 
-    def test_level_set_measure_equals_one_mask_loop(self):
+    def test_level_masses_equal_one_mask_loop(self):
         for i, sp in enumerate(reference_spaces()):
             g = np.random.default_rng(i + 950)
             f = np.round(g.uniform(0.0, 3.0, sp.n), 1)  # repeated values
-            regions = [
-                None,
-                [],
-                g.integers(0, sp.n, size=sp.n).tolist(),  # repeats count once
-                g.uniform(size=sp.n) < 0.5,
-                sp.dist[0] < float(np.median(sp.dist[0])),
-            ]
-            for region in regions:
-                mask = _region_mask(sp, region)
-                for gamma in (-1.0, 0.0, *f[::3].tolist(), 1.25, 5.0):
-                    want = float(loop_level_masses(sp, f, mask, np.array([gamma]))[0])
-                    assert level_set_measure(sp, f, region, gamma) == want, (i, gamma)
+            masks = np.array(
+                [
+                    np.ones(sp.n, dtype=bool),
+                    np.zeros(sp.n, dtype=bool),
+                    np.isin(np.arange(sp.n), g.integers(0, sp.n, size=sp.n)),  # from indices with repeats
+                    g.uniform(size=sp.n) < 0.5,
+                    sp.dist[0] < float(np.median(sp.dist[0])),
+                ]
+            )
+            gammas = np.array([-1.0, 0.0, *f[::3].tolist(), 1.25, 5.0])
+            got = level_masses(sp, f, masks, gammas)
+            for mask, row in zip(masks, got):
+                assert np.array_equal(row, loop_level_masses(sp, f, mask, gammas)), i
