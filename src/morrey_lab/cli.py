@@ -8,6 +8,13 @@ version): records follow config order (space, function, check, exponent
 triple, ball, level), ``report.json`` prints floats with ``repr`` (the
 shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
+
+Both files are written in runs of records with the same keys and the same
+exact value types, formatting each distinct value of a column once; most
+rows are per-(ball, level) samples that repeat a handful of values.  The
+bytes are those of ``json.dumps(indent=2)`` and of ``csv.writer``: runs
+are cut on exact types because ``True == 1 == 1.0``, and a column holding
+-0.0 (equal to 0.0), NaN or an infinity is formatted cell by cell.
 """
 
 from __future__ import annotations
@@ -15,12 +22,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -111,10 +120,16 @@ def _list(key: str, value) -> list:
 
 
 def _coerce(context: str, key: str, kind, value):
+    """``kind(value)`` for a value of the right JSON type: an int field takes
+    only an integer (``int()`` would truncate 4.9 and read ``true`` as 1),
+    and no field takes a boolean."""
+    error = ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is int and type(value) is not int or isinstance(value, bool):
+        raise error
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}") from exc
+        raise error from exc
 
 
 def _spec_defaults(cls, skip=()) -> dict:
@@ -185,9 +200,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for i, triple in enumerate(top["exponents"]):
         if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
             raise ConfigError(f"exponents[{i}]: expected a [p, q, alpha] triple, got {triple!r}")
+        pqa = [_coerce(f"exponents[{i}]", key, float, v) for key, v in zip(("p", "q", "alpha"), triple)]
         try:
-            exponents.append(ExponentSet.from_pqa(*(float(v) for v in triple)))
-        except (TypeError, ValueError) as exc:  # out of range, or not a number
+            exponents.append(ExponentSet.from_pqa(*pqa))
+        except ValueError as exc:  # out of range
             raise ConfigError(f"exponents[{i}] {list(triple)}: {exc}") from exc
 
     checks, estimates, sweeps = [], [], []
@@ -444,53 +460,130 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     return report, exit_code
 
 
-def write_csv(records, fh):
-    # Not in CSV_COLUMNS: a JSON record has an "error" key only when it could
-    # not be evaluated, which is how run() counts errors.
-    columns = [*CSV_COLUMNS, "error"]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(row.get(c, "")) for c in columns] for row in records)
-
-
 _ROW_BATCH = 256
-# One compact C-encoder call per batch of rows.  Its item separator is the
-# newline and indent of a row's keys under indent=2; rows are flat and
-# non-empty, so the only other separator is the "},\n      {" between rows.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# "error" is not in CSV_COLUMNS: a JSON record has an "error" key only when it
+# could not be evaluated, which is how run() counts errors.
+_CSV_ALL_COLUMNS = [*CSV_COLUMNS, "error"]
+_CSV_HEADER = ",".join(_CSV_ALL_COLUMNS) + "\n"
 
 
-def _write_rows(rows: list, fh):
-    fh.write("[")
-    for start in range(0, len(rows), _ROW_BATCH):
-        text = _ROW_ENCODER.encode(rows[start : start + _ROW_BATCH])
-        fh.write("," if start else "")
-        fh.write("\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }")
-    fh.write("\n  ]")
+def _runs(records: list):
+    """``records`` cut into runs of at most ``_ROW_BATCH`` consecutive rows
+    with the same keys in the same order and the same exact value types."""
+    start, shape = 0, None
+    for i, row in enumerate(records):
+        key = (tuple(row), tuple(map(type, row.values())))
+        if key != shape or i - start == _ROW_BATCH:
+            if i:
+                yield records[start:i]
+            start, shape = i, key
+    if records:
+        yield records[start:]
+
+
+def _csv_field(text: str) -> str:
+    """``text`` quoted as the csv module quotes one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+# The text of a value of each exact type whose equal values print alike;
+# None: any other type, formatted one cell at a time.
+_JSON_TEXT = {float: float.__repr__, str: encode_basestring_ascii, bool: _fmt, None: json.dumps}
+_CSV_TEXT = {float: "%.17g".__mod__, str: _csv_field, bool: _fmt, None: lambda v: _csv_field(_fmt(v))}
+
+
+def _distinct(column: tuple):
+    """The distinct values of a run's column if formatting each once is
+    exact (see ``write_report``), else None."""
+    kind = type(column[0])
+    if kind not in (float, str, bool):
+        return None
+    distinct = dict.fromkeys(column)
+    if kind is float and not all(map(math.isfinite, distinct)):
+        return None
+    if kind is float and 0.0 in distinct and any(math.copysign(1.0, v) < 0.0 for v in column if v == 0.0):
+        return None
+    return distinct
+
+
+def _run_texts(run: list, *formats: dict) -> list:
+    """Per format, ``{key: the texts of the key's column}`` for one run."""
+    out = [{} for _ in formats]
+    for key, column in zip(run[0], zip(*map(dict.values, run))):
+        distinct = _distinct(column)
+        for texts, text in zip(out, formats):
+            if distinct is None:
+                texts[key] = list(map(text[None], column))
+            else:
+                table = dict(zip(distinct, map(text[type(column[0])], distinct)))
+                texts[key] = list(map(table.__getitem__, column))
+    return out
+
+
+def _rows(template: str, run: list, columns: list) -> map:
+    """``template`` filled with each row's cells of ``columns``."""
+    return map(template.__mod__, zip(*columns) if columns else [()] * len(run))
+
+
+def _json_rows(run: list, texts: dict) -> str:
+    """A run as ``json.dumps(indent=2)`` prints records two levels deep;
+    records are flat, non-empty and keyed by strings."""
+    keys = sorted(texts)
+    fields = ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "\n    {\n      " + fields + "\n    }"
+    return ",".join(_rows(template, run, [texts[k] for k in keys]))
+
+
+def _csv_rows(run: list, texts: dict) -> str:
+    template = ",".join("%s" if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
+    return "".join(_rows(template, run, [texts[c] for c in _CSV_ALL_COLUMNS if c in texts]))
+
+
+def write_csv(records, fh):
+    fh.write(_CSV_HEADER)
+    for run in _runs(records):
+        (texts,) = _run_texts(run, _CSV_TEXT)
+        fh.write(_csv_rows(run, texts))
 
 
 def write_report(report: dict, out_dir: str):
     """Write ``report.json`` and ``records.csv`` into ``out_dir``.
 
     The bytes of ``report.json`` are those of
-    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.  The
-    records are streamed in batches through the C encoder, which ``indent``
-    would switch off; the newline rewrites are exact because ASCII-escaped
-    JSON holds no raw newline inside a string.
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, and
+    those of ``records.csv`` are what ``csv.writer`` prints for the
+    ``_fmt`` of every cell.  Both files are written together, one run of
+    records at a time: rows with the same keys in the same order and the
+    same exact value types (``_runs``).  In each column of a run every
+    distinct value is formatted once, and each row is one ``%`` of the
+    run's template.  That is exact because equal values of one exact type
+    print alike, except -0.0 and 0.0, and NaN, which JSON spells apart
+    from ``repr``: a float column holding -0.0, NaN or an infinity, and a
+    column of any type but float, str and bool, is formatted cell by cell.
+    Runs are cut on exact types because ``True == 1 == 1.0``.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with (
+        open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh,
+        open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8") as fc,
+    ):
+        fc.write(_CSV_HEADER)
         fh.write("{")
         for i, key in enumerate(sorted(report)):
             fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
             value = report[key]
             if key == "records" and value:
-                _write_rows(value, fh)
+                fh.write("[")
+                for j, run in enumerate(_runs(value)):
+                    json_texts, csv_texts = _run_texts(run, _JSON_TEXT, _CSV_TEXT)
+                    fh.write(("," if j else "") + _json_rows(run, json_texts))
+                    fc.write(_csv_rows(run, csv_texts))
+                fh.write("\n  ]")
             else:
                 fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
         fh.write("\n}\n")
-    with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8") as fh:
-        write_csv(report["records"], fh)
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,36 @@ MUTANTS = (
     Mutant(
         "report-row-boundary",
         "cli.py",
-        '"\\n    },\\n    {\\n      "',
-        '"\\n    },{\\n      "',
+        'template = "\\n    {\\n      " + fields',
+        'template = "{\\n      " + fields',
         (
             "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
             "tests/test_cli.py::TestWriteReport::test_random_reports",
         ),
+    ),
+    Mutant(
+        "report-negative-zero-shares-text",
+        "cli.py",
+        "kind is float and 0.0 in distinct and any(",
+        "False and any(",
+        ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
+    ),
+    Mutant(
+        "report-run-key-without-types",
+        "cli.py",
+        "key = (tuple(row), tuple(map(type, row.values())))",
+        "key = (tuple(row),)",
+        (
+            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
+            "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
+        ),
+    ),
+    Mutant(
+        "config-int-truncates",
+        "cli.py",
+        "if kind is int and type(value) is not int or isinstance(value, bool):",
+        "if kind is not int and isinstance(value, bool):",
+        ("tests/test_cli.py::TestConfigErrorsExitTwo::test_mistyped_number",),
     ),
     Mutant(
         "ball-indicator-open-ball",

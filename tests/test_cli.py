@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morrey_lab import cli
@@ -67,9 +67,9 @@ class TestConfigParsing:
     def test_entry_defaults_and_coercions(self):
         raw = dict(
             BASE_CONFIG,
-            spaces=[{"family": "grid", "n": "6", "seed": 3}],
+            spaces=[{"family": "grid", "n": 6, "seed": 3}],
             functions=[{"family": "power-spike", "cap": 7}],
-            checks=[{"estimate": {"check": "T2", "restarts": 2.0}}],
+            checks=[{"estimate": {"check": "T2", "restarts": 2}}],
         )
         cfg = parse_config(raw)
         assert cfg.spaces == [("space0", SpaceSpec("grid", n=6, seed=3))]
@@ -116,6 +116,38 @@ class TestConfigErrorsExitTwo:
         code, err = self.run_with(tmp_path, capsys, overrides)
         assert code == 2
         assert err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"seed": 2.7}, "config: 'seed' must be int, got 2.7"),
+            ({"seed": True}, "config: 'seed' must be int, got True"),
+            ({"spaces": [{"id": "g", "family": "grid", "n": 4.9}]}, "spaces[0]: 'n' must be int, got 4.9"),
+            ({"spaces": [{"id": "g", "family": "grid", "n": 4.0}]}, "spaces[0]: 'n' must be int, got 4.0"),
+            ({"spaces": [{"id": "g", "family": "grid", "n": "4"}]}, "spaces[0]: 'n' must be int, got '4'"),
+            ({"spaces": [{"id": "g", "family": "grid", "n": 4, "dim": True}]}, "spaces[0]: 'dim' must be int, got True"),
+            ({"gamma_grid": {"count": 2.5}}, "gamma_grid: 'count' must be int, got 2.5"),
+            ({"gamma_grid": {"lo": True}}, "gamma_grid: 'lo' must be float, got True"),
+            ({"checks": [{"estimate": {"check": "T6", "max_iters": 47.9}}]}, "checks[0].estimate: 'max_iters' must be int, got 47.9"),
+            ({"checks": [{"estimate": {"check": "T6", "exponent": 0.7}}]}, "checks[0].estimate: 'exponent' must be int, got 0.7"),
+            ({"functions": [{"id": "f", "family": "power-spike", "center": 3.99}]}, "functions[0]: 'center' must be int, got 3.99"),
+            ({"functions": [{"id": "f", "family": "constant", "value": True}]}, "functions[0]: 'value' must be float, got True"),
+            ({"exponents": [[2.0, True, 0.25]]}, "exponents[0]: 'q' must be float, got True"),
+            ({"checks": [{"sweep": {"alpha": 0.25, "p": True}}]}, "checks[0].sweep: 'p' must be float, got True"),
+        ],
+        ids=[
+            "seed-fraction", "seed-bool", "space-n-fraction", "space-n-integral-float", "space-n-string",
+            "space-dim-bool", "gamma-count-fraction", "gamma-lo-bool", "estimate-max-iters-fraction",
+            "estimate-exponent-fraction", "function-center-fraction", "function-value-bool", "exponent-bool",
+            "sweep-p-bool",
+        ],
+    )
+    def test_mistyped_number(self, tmp_path, capsys, overrides, message):
+        """int() would truncate these and read true as 1; float() would read true as 1.0."""
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -487,10 +519,39 @@ FLAT_ROWS = st.lists(
     max_size=12,
 )
 
+# Cell values by kind, for rows of one shape: the values a table of distinct
+# values could confuse (-0.0 == 0.0, NaN, True == 1 == 1.0, a float subclass)
+# and strings the CSV must quote or the JSON must escape.
+CELLS = {
+    "float": st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300, 2.5e17, float("nan"), float("inf"), float("-inf")])
+    | st.floats(),
+    "finite": st.sampled_from([0.0, 1.0, 0.1, 1e-300, -2.5e17]),
+    "int": st.sampled_from([0, 1, -1, 2**64]),
+    "bool": st.booleans(),
+    "float64": st.sampled_from([0.0, -0.0, 1.0, float("nan")]).map(np.float64),
+    "str": st.sampled_from(["", "T1", 'a,"b"', "x\ny", "cr\r", "é\u2028𝔐", "%s", "\\", "\x00"]) | st.text(max_size=4),
+    "none": st.none(),
+}
+KEYS = st.sampled_from([*cli.CSV_COLUMNS, "error", "%", "%s", "100%%", "ü", "𝔐 key", 'q"t']) | st.text(max_size=4)
+
+
+@st.composite
+def block_rows(draw):
+    """Rows of a few shapes over one key order, in blocks of one shape."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=5, unique=True))
+    shapes = draw(st.lists(st.tuples(*[st.sampled_from(sorted(CELLS)) for _ in keys]), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = draw(st.sampled_from(shapes))
+        for _ in range(draw(st.integers(1, 12))):
+            rows.append({key: draw(CELLS[kind]) for key, kind in zip(keys, kinds)})
+    return rows
+
 
 class TestWriteReport:
-    """report.json is streamed in batches of rows through the C encoder; its
-    bytes must stay those of ``json.dumps(report, sort_keys=True, indent=2)``."""
+    """report.json and records.csv are written in runs of same-shaped rows;
+    their bytes must stay those of ``json.dumps(report, sort_keys=True,
+    indent=2)`` and of the CSV built cell by cell."""
 
     def test_corpus_report(self, corpus_report, tmp_path):
         assert_oracle_bytes(corpus_report, tmp_path)
@@ -515,12 +576,21 @@ class TestWriteReport:
         assert code == 0 and report["records"] == [] and report["estimates"]
         assert_oracle_bytes(report, tmp_path)
 
-    @pytest.mark.parametrize("count", [0, 1, cli._ROW_BATCH - 1, cli._ROW_BATCH, cli._ROW_BATCH + 1])
+    @pytest.mark.parametrize("count", [0, 1, cli._ROW_BATCH - 1, cli._ROW_BATCH, cli._ROW_BATCH + 1, 2 * cli._ROW_BATCH])
     def test_rows_at_batch_edges(self, tmp_path, count):
+        """A run of one shape ends at the row cap, and a row of another shape
+        (an int gamma among floats) ends it early, at either edge of a cap."""
         report, _ = cli.run(parse_config(BASE_CONFIG))
-        base = report["records"]
-        report["records"] = [base[i % len(base)] for i in range(count)]
-        assert_oracle_bytes(report, tmp_path)
+        t1 = [r for r in report["records"] if r["check_id"] == "T1"]
+        assert len({(tuple(r), tuple(map(type, r.values()))) for r in t1}) == 1
+        for other in (None, 0, cli._ROW_BATCH - 1, cli._ROW_BATCH):
+            rows = [t1[i % len(t1)] for i in range(count)]
+            if other is not None and other < count:
+                rows[other] = dict(rows[other], gamma=1)
+            report["records"] = rows
+            out = tmp_path / f"other{other}"
+            out.mkdir()
+            assert_oracle_bytes(report, out)
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
@@ -542,6 +612,24 @@ class TestWriteReport:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_ROW_BATCH", batch)
             assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
+
+    @settings(derandomize=True, deadline=None, max_examples=80, database=None)
+    @given(rows=block_rows(), batch=st.integers(1, 8))
+    @example(rows=[{"lhs": 0.0}, {"lhs": -0.0}, {"lhs": 0.0}], batch=256)
+    @example(rows=[{"x": True}, {"x": 1}, {"x": 1.0}, {"x": 1}, {"x": True}], batch=256)
+    @example(rows=[{"x": 1.0}, {"x": float("nan")}, {"x": float("inf")}, {"x": np.float64(-0.0)}], batch=256)
+    def test_block_shaped_rows(self, tmp_path_factory, rows, batch):
+        """Long runs of same-shaped rows, cut at every cap from 1 to 8."""
+        report = {"config": {}, "records": rows, "verdict": {}}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_ROW_BATCH", batch)
+            assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
+
+    def test_report_command_rerenders_corpus_csv(self, corpus_report, tmp_path, capsys):
+        write_report(corpus_report, str(tmp_path))
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (tmp_path / "records.csv").read_bytes()
 
     def test_writes_are_bounded(self, corpus_report, tmp_path, monkeypatch):
         """The writer streams: no single write holds the whole 6.9 MB report."""
