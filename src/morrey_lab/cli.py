@@ -11,10 +11,12 @@ significant digits, and logging goes to stderr only.
 
 Both files are written in runs of records with the same keys and the same
 exact value types, formatting each distinct value of a column once; most
-rows are per-(ball, level) samples that repeat a handful of values.  The
-bytes are those of ``json.dumps(indent=2)`` and of ``csv.writer``: runs
-are cut on exact types because ``True == 1 == 1.0``, and a column holding
--0.0 (equal to 0.0), NaN or an infinity is formatted cell by cell.
+rows are per-(ball, level) samples that repeat a handful of values.  A
+column with one value in a run is part of that run's row template, so each
+row formats only the columns that vary.  The bytes are those of
+``json.dumps(indent=2)`` and of ``csv.writer``: runs are cut on exact types
+because ``True == 1 == 1.0``, and a column holding -0.0 (equal to 0.0), NaN
+or an infinity is formatted cell by cell.
 """
 
 from __future__ import annotations
@@ -119,16 +121,20 @@ def _list(key: str, value) -> list:
     return value
 
 
+# The JSON types a config value of each field type may have: ``int()`` would
+# truncate 4.9 and read ``true`` as 1, ``float()`` would read ``"nan"``, and
+# ``str()`` would read ``null`` as "None".  A boolean is none of them.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _coerce(context: str, key: str, kind, value):
-    """``kind(value)`` for a value of the right JSON type: an int field takes
-    only an integer (``int()`` would truncate 4.9 and read ``true`` as 1),
-    and no field takes a boolean."""
+    """``kind(value)`` for a value of one of ``kind``'s JSON types."""
     error = ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}")
-    if kind is int and type(value) is not int or isinstance(value, bool):
+    if type(value) not in _JSON_TYPES[kind]:
         raise error
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer past the float range
         raise error from exc
 
 
@@ -150,7 +156,7 @@ def _build_spec(cls, ent: dict, context: str, **given):
 def _parse_spec_entry(cls, raw, context: str, default_id: str, default_seed: int):
     """(id, spec) for a generated entry, (id, path) for a file entry."""
     ent = _take(raw, context, (), {"id": default_id, "file": None, **_spec_defaults(cls), "seed": None})
-    ident = str(ent["id"])
+    ident = _coerce(context, "id", str, ent["id"])
     if ent["file"] is not None:
         return ident, str(ent["file"])
     if ent["family"] is None:
@@ -264,7 +270,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         gamma_lo=gamma_lo,
         gamma_hi=gamma_hi,
         gamma_count=gamma_count,
-        output_dir=str(top["output_dir"]),
+        output_dir=_coerce("config", "output_dir", str, top["output_dir"]),
         raw=raw,
     )
 
@@ -308,27 +314,26 @@ def load_function_file(path: str) -> np.ndarray:
 # run
 
 
-def _report_to_row(rep, space_id, function_id, extra=None):
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update(
-        {
-            "check_id": rep.check_id,
-            "space_id": space_id,
-            "function_id": function_id,
-            "lhs": rep.lhs,
-            "rhs_without_constant": rep.rhs_without_constant,
-            "empirical_constant": rep.empirical_constant,
-        }
-    )
-    for key in ("p", "q", "alpha", "s", "t", "gamma"):
-        if key in rep.params:
-            row[key] = rep.params[key]
-    if rep.theory_constant is not None:
-        row["theory_constant"] = rep.theory_constant
-        row["pass"] = bool(rep.passed)
-    if extra:
-        row.update(extra)
-    return row
+def _report_to_row(rep, space_id, function_id):
+    """A report's record, its keys in ``CSV_COLUMNS`` order."""
+    params, checked = rep.params, rep.theory_constant is not None
+    return {
+        "check_id": rep.check_id,
+        "space_id": space_id,
+        "function_id": function_id,
+        "p": params.get("p", ""),
+        "q": params.get("q", ""),
+        "alpha": params.get("alpha", ""),
+        "s": params.get("s", ""),
+        "t": params.get("t", ""),
+        "kappa": 2.0,  # evaluate runs every check at kappa = 2
+        "gamma": params.get("gamma", ""),
+        "lhs": rep.lhs,
+        "rhs_without_constant": rep.rhs_without_constant,
+        "empirical_constant": rep.empirical_constant,
+        "theory_constant": rep.theory_constant if checked else "",
+        "pass": rep.passed if checked else "",
+    }
 
 
 def _error_row(check_id, space_id, function_id, error):
@@ -346,7 +351,7 @@ def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig)
         except ValueError as exc:  # bad function values or exponents: surfaced per record, run continues
             rows.append(_error_row(check, space_id, function_id, f"{type(exc).__name__}: {exc}"))
             continue
-        rows.extend(_report_to_row(rep, space_id, function_id, {"kappa": 2.0}) for rep in reports)
+        rows.extend(_report_to_row(rep, space_id, function_id) for rep in reports)
     return rows
 
 
@@ -509,21 +514,31 @@ def _distinct(column: tuple):
 
 
 def _run_texts(run: list, *formats: dict) -> list:
-    """Per format, ``{key: the texts of the key's column}`` for one run."""
+    """Per format, ``{key: the texts of the key's column}`` for one run; a
+    column with one value in the run has that value's one text, a ``str``."""
     out = [{} for _ in formats]
     for key, column in zip(run[0], zip(*map(dict.values, run))):
         distinct = _distinct(column)
         for texts, text in zip(out, formats):
             if distinct is None:
                 texts[key] = list(map(text[None], column))
+            elif len(distinct) == 1:
+                texts[key] = text[type(column[0])](column[0])
             else:
                 table = dict(zip(distinct, map(text[type(column[0])], distinct)))
                 texts[key] = list(map(table.__getitem__, column))
     return out
 
 
+def _slot(texts) -> str:
+    """A column's slot in a run's template: its one text, ``%``-escaped, or
+    ``%s`` for a column whose texts vary."""
+    return texts.replace("%", "%%") if isinstance(texts, str) else "%s"
+
+
 def _rows(template: str, run: list, columns: list) -> map:
-    """``template`` filled with each row's cells of ``columns``."""
+    """``template`` filled with each row's cells of the ``columns`` that vary."""
+    columns = [texts for texts in columns if not isinstance(texts, str)]
     return map(template.__mod__, zip(*columns) if columns else [()] * len(run))
 
 
@@ -531,13 +546,13 @@ def _json_rows(run: list, texts: dict) -> str:
     """A run as ``json.dumps(indent=2)`` prints records two levels deep;
     records are flat, non-empty and keyed by strings."""
     keys = sorted(texts)
-    fields = ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    fields = ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": " + _slot(texts[k]) for k in keys)
     template = "\n    {\n      " + fields + "\n    }"
     return ",".join(_rows(template, run, [texts[k] for k in keys]))
 
 
 def _csv_rows(run: list, texts: dict) -> str:
-    template = ",".join("%s" if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
+    template = ",".join(_slot(texts[c]) if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
     return "".join(_rows(template, run, [texts[c] for c in _CSV_ALL_COLUMNS if c in texts]))
 
 
@@ -557,8 +572,9 @@ def write_report(report: dict, out_dir: str):
     ``_fmt`` of every cell.  Both files are written together, one run of
     records at a time: rows with the same keys in the same order and the
     same exact value types (``_runs``).  In each column of a run every
-    distinct value is formatted once, and each row is one ``%`` of the
-    run's template.  That is exact because equal values of one exact type
+    distinct value is formatted once; a column with one value in the run is
+    written into the run's template, ``%``-escaped, and each row is one
+    ``%`` of that template with the columns that vary.  That is exact because equal values of one exact type
     print alike, except -0.0 and 0.0, and NaN, which JSON spells apart
     from ``repr``: a float column holding -0.0, NaN or an infinity, and a
     column of any type but float, str and bool, is formatted cell by cell.

@@ -10,6 +10,7 @@ Coordinates are dyadic where possible so distances deduplicate exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class SpaceSpec:
             raise InvalidSpec(f"unknown space family {self.family!r}")
         if self.n < 1 or self.dim < 1 or self.depth < 0:
             raise InvalidSpec(f"counts must be positive: {self}")
-        if self.halfwidth <= 0.0 or self.beta < 0.0:
-            raise InvalidSpec(f"need halfwidth > 0 and beta >= 0: {self}")
+        if not (0.0 < self.halfwidth < math.inf and 0.0 <= self.beta < math.inf):
+            raise InvalidSpec(f"need finite halfwidth > 0 and finite beta >= 0: {self}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -60,7 +61,8 @@ class FunctionSpec:
     def __post_init__(self):
         if self.family not in FUNCTION_FAMILIES:
             raise InvalidSpec(f"unknown function family {self.family!r}")
-        if self.value < 0.0 or self.cap <= 0.0 or not 0.0 <= self.density <= 1.0:
+        finite = all(map(math.isfinite, (self.value, self.radius, self.beta, self.cap)))
+        if not (finite and self.value >= 0.0 and self.cap > 0.0 and 0.0 <= self.density <= 1.0):
             raise InvalidSpec(f"bad function parameters: {self}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")

@@ -45,16 +45,22 @@ class CheckReport:
     passed: bool | None = None
 
 
+def _constants(lhs, rhs, theory_constant=None):
+    """The empirical constants ``lhs / rhs`` and the pass flags, elementwise
+    for scalars or arrays: the constant is 0 where lhs == 0 == rhs (a vacuous
+    inequality) and inf where lhs > 0 == rhs; a row passes when lhs <=
+    theory_constant * rhs or its constant is 0.  Flags are None without a
+    theory constant."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    positive = rhs > 0.0
+    const = np.where(positive, lhs / np.where(positive, rhs, 1.0), np.where(lhs == 0.0, 0.0, math.inf))
+    if theory_constant is None:
+        return const, None
+    return const, (lhs <= theory_constant * rhs) | (const == 0.0)
+
+
 def _make_report(check_id, params, lhs, rhs, theory_constant=None) -> CheckReport:
-    if rhs > 0.0:
-        const = lhs / rhs
-    elif lhs == 0.0:
-        const = 0.0  # vacuous inequality
-    else:
-        const = math.inf
-    passed = None
-    if theory_constant is not None:
-        passed = lhs <= theory_constant * rhs or const == 0.0
+    const, passed = _constants(lhs, rhs, theory_constant)
     return CheckReport(
         check_id=check_id,
         params=dict(params),
@@ -62,7 +68,7 @@ def _make_report(check_id, params, lhs, rhs, theory_constant=None) -> CheckRepor
         rhs_without_constant=float(rhs),
         empirical_constant=float(const),
         theory_constant=theory_constant,
-        passed=passed,
+        passed=None if passed is None else bool(passed),
     )
 
 
@@ -101,9 +107,16 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     return list(zip(centers.tolist(), radii.tolist()))
 
 
-def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_constant=None) -> list[CheckReport]:
+def _ball_reports(space, values, balls, gammas, p, rhs, check_id, params, theory_constant=None) -> list[CheckReport]:
     """Level sets of ``values`` inside each ball B(a,r) of ``balls``: one
-    report per (ball, gamma), in order, with right side rhs(mu(B(a,6r)), gamma)."""
+    report per (ball, gamma), in order, with right sides ``rhs(w, gammas)``
+    for the column w of mu(B(a,6r))^(1-1/p).
+
+    The whole (ball x level) table is computed at once.  Both sides stay
+    bit for bit those of the scalar formula: ``**`` runs in Python, once per
+    ball here and once per level in ``rhs``, because ``np.power`` may round
+    differently; across the table run only ``*`` and ``/``, which round
+    correctly either way, in the formula's order."""
     gammas = np.asarray(gammas, dtype=float)
     centers = np.array([a for a, _ in balls], dtype=int)
     radii = np.array([r for _, r in balls], dtype=float)
@@ -113,12 +126,16 @@ def _ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_co
         a, r = balls[empty[0]]
         raise EmptyBall(f"ball({a}, {r}) has zero measure")
     inside6 = np.count_nonzero(space.dist[centers] < 6.0 * radii[:, None], axis=1)
-    mu6s = space.csum0[centers, inside6].tolist()  # mu(B(a, 6r))
+    w = np.array([mu6 ** (1.0 - 1.0 / p) for mu6 in space.csum0[centers, inside6].tolist()])
     lhs = level_masses(space, values, masks, gammas)
+    rhs = rhs(w[:, None], gammas)
+    const, passed = _constants(lhs, rhs, theory_constant)
+    passed = [[None] * gammas.size] * len(balls) if passed is None else passed.tolist()
+    level_params = [{**params, "gamma": g} for g in gammas.tolist()]
     return [
-        _make_report(check_id, {"a": a, "r": r, **params, "gamma": float(g)}, l, rhs(mu6, g), theory_constant)
-        for (a, r), mu6, ball_lhs in zip(balls, mu6s, lhs)
-        for g, l in zip(gammas, ball_lhs)
+        CheckReport(check_id, {"a": a, "r": r, **ps}, l, rh, c, theory_constant, ok)
+        for (a, r), *row in zip(balls, lhs.tolist(), rhs.tolist(), const.tolist(), passed)
+        for ps, l, rh, c, ok in zip(level_params, *row)
     ]
 
 
@@ -155,10 +172,10 @@ def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport
     v = _values(space, f)
     mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)
 
-    def rhs(mu6, g):
-        return mu6 ** (1.0 - 1.0 / p) * norm / g
+    def rhs(w, g):
+        return w * norm / g
 
-    return _ball_reports(space, mf, balls, gammas, "T1", {"p": p}, rhs, theory_constant=4.0)
+    return _ball_reports(space, mf, balls, gammas, p, rhs, "T1", {"p": p}, theory_constant=4.0)
 
 
 def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
@@ -182,10 +199,10 @@ def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[Check
     pot, norm = v.of(fractional_integral, exps.alpha, 2.0), v.of(morrey_norm, exps.p, 1.0, 2.0)
     sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
 
-    def rhs(mu6, g):
-        return mu6 ** (1.0 - 1.0 / exps.p) * (norm / g) ** sp
+    def rhs(w, gammas):
+        return w * np.array([(norm / g) ** sp for g in gammas])
 
-    return _ball_reports(space, pot, balls, gammas, "T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, rhs)
+    return _ball_reports(space, pot, balls, gammas, exps.p, rhs, "T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s})
 
 
 def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:

@@ -133,6 +133,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "report-constant-text-unescaped",
+        "cli.py",
+        'return texts.replace("%", "%%") if isinstance(texts, str) else "%s"',
+        'return texts if isinstance(texts, str) else "%s"',
+        (
+            "tests/test_cli.py::TestWriteReport::test_percent_in_constant_columns",
+            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
+        ),
+    ),
+    Mutant(
         "report-negative-zero-shares-text",
         "cli.py",
         "kind is float and 0.0 in distinct and any(",
@@ -152,9 +162,29 @@ MUTANTS = (
     Mutant(
         "config-int-truncates",
         "cli.py",
-        "if kind is int and type(value) is not int or isinstance(value, bool):",
-        "if kind is not int and isinstance(value, bool):",
+        "_JSON_TYPES = {int: (int,),",
+        "_JSON_TYPES = {int: (int, float),",
         ("tests/test_cli.py::TestConfigErrorsExitTwo::test_mistyped_number",),
+    ),
+    Mutant(
+        "t1-divides-by-reciprocal",
+        "theorems.py",
+        "return w * norm / g",
+        "return w * norm * (1.0 / g)",
+        (
+            "tests/test_theorems.py::TestBallTables::test_reports_equal_per_ball_loop",
+            "tests/test_acceptance.py::test_criterion_9_end_to_end_determinism",
+        ),
+    ),
+    Mutant(
+        "constant-rule-without-vacuous-branch",
+        "theorems.py",
+        "np.where(lhs == 0.0, 0.0, math.inf)",
+        "math.inf",
+        (
+            "tests/test_theorems.py::TestConstants::test_three_branches",
+            "tests/test_theorems.py::TestT6::test_zero_function",
+        ),
     ),
     Mutant(
         "ball-indicator-open-ball",

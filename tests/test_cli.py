@@ -135,16 +135,57 @@ class TestConfigErrorsExitTwo:
             ({"functions": [{"id": "f", "family": "constant", "value": True}]}, "functions[0]: 'value' must be float, got True"),
             ({"exponents": [[2.0, True, 0.25]]}, "exponents[0]: 'q' must be float, got True"),
             ({"checks": [{"sweep": {"alpha": 0.25, "p": True}}]}, "checks[0].sweep: 'p' must be float, got True"),
+            ({"functions": [{"id": "f", "family": "constant", "value": "nan"}]}, "functions[0]: 'value' must be float, got 'nan'"),
+            ({"exponents": [["2.0", 1.5, 0.25]]}, "exponents[0]: 'p' must be float, got '2.0'"),
+            ({"gamma_grid": {"lo": "0.001"}}, "gamma_grid: 'lo' must be float, got '0.001'"),
+            ({"functions": [{"id": "f", "family": "constant", "value": 10**400}]}, f"functions[0]: 'value' must be float, got {10**400}"),
         ],
         ids=[
             "seed-fraction", "seed-bool", "space-n-fraction", "space-n-integral-float", "space-n-string",
             "space-dim-bool", "gamma-count-fraction", "gamma-lo-bool", "estimate-max-iters-fraction",
             "estimate-exponent-fraction", "function-center-fraction", "function-value-bool", "exponent-bool",
-            "sweep-p-bool",
+            "sweep-p-bool", "function-value-string", "exponent-string", "gamma-lo-string", "function-value-past-float",
         ],
     )
     def test_mistyped_number(self, tmp_path, capsys, overrides, message):
-        """int() would truncate these and read true as 1; float() would read true as 1.0."""
+        """int() would truncate these and read true as 1; float() would read
+        true as 1.0 and a string such as "nan" as a number."""
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"functions": [{"id": "f", "family": "constant", "value": float("nan")}]}, "functions[0]: bad function"),
+            ({"functions": [{"id": "f", "family": "power-spike", "cap": float("inf")}]}, "functions[0]: bad function"),
+            ({"functions": [{"id": "f", "family": "ball-indicator", "radius": float("nan")}]}, "functions[0]: bad function"),
+            ({"functions": [{"id": "f", "family": "power-spike", "beta": float("-inf")}]}, "functions[0]: bad function"),
+            ({"spaces": [{"id": "g", "family": "grid", "halfwidth": float("inf")}]}, "spaces[0]: need finite halfwidth"),
+            ({"spaces": [{"id": "g", "family": "radial-decay-grid", "beta": float("nan")}]}, "spaces[0]: need finite halfwidth"),
+        ],
+        ids=["function-value-nan", "function-cap-inf", "function-radius-nan", "function-beta-minus-inf", "space-halfwidth-inf", "space-beta-nan"],
+    )
+    def test_non_finite_spec_number(self, tmp_path, capsys, overrides, message):
+        """json.load reads a bare NaN or Infinity, and NaN passes every ``<`` test."""
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"output_dir": None}, "config: 'output_dir' must be str, got None"),
+            ({"output_dir": 7}, "config: 'output_dir' must be str, got 7"),
+            ({"spaces": [{"id": None, "family": "grid", "n": 4}]}, "spaces[0]: 'id' must be str, got None"),
+            ({"functions": [{"id": 3, "family": "constant"}]}, "functions[0]: 'id' must be str, got 3"),
+        ],
+        ids=["output-dir-null", "output-dir-number", "space-id-null", "function-id-number"],
+    )
+    def test_string_key_of_another_type(self, tmp_path, capsys, overrides, message):
+        """str() would name a directory, space or function "None"."""
         code, err = self.run_with(tmp_path, capsys, overrides)
         assert code == 2
         assert err.startswith(f"config error: {message}\n")
@@ -589,6 +630,47 @@ class TestWriteReport:
                 rows[other] = dict(rows[other], gamma=1)
             report["records"] = rows
             out = tmp_path / f"other{other}"
+            out.mkdir()
+            assert_oracle_bytes(report, out)
+
+    def test_percent_in_constant_columns(self, tmp_path, monkeypatch):
+        """A column with one value in a run is written into the run's
+        template, so a ``%`` in its text must not read as a format."""
+        original = cli.evaluate
+
+        def odd(space, f, check, *args):
+            if check == "T7":
+                raise ValueError("100% of %s, %(x)d and %% fail")
+            return original(space, f, check, *args)
+
+        monkeypatch.setattr(cli, "evaluate", odd)
+        spaces = [dict(BASE_CONFIG["spaces"][0], id="50%")]
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, spaces=spaces, checks=["T1", "T6", "T7"])))
+        assert code == 3 and report["verdict"]["errors"] == 2
+        assert_oracle_bytes(report, tmp_path)
+        for run in cli._runs(report["records"]):
+            json_texts, csv_texts = cli._run_texts(run, cli._JSON_TEXT, cli._CSV_TEXT)
+            assert json_texts["space_id"] == '"50%"' and csv_texts["space_id"] == "50%"
+        assert isinstance(json_texts["error"], str) and "100% of %s" in json_texts["error"]
+
+    @pytest.mark.parametrize("edge", [cli._ROW_BATCH - 1, cli._ROW_BATCH, cli._ROW_BATCH + 1])
+    def test_column_constant_in_one_run_varying_in_the_next(self, tmp_path, edge):
+        """Runs are cut at ``_ROW_BATCH`` rows: columns that are one text in
+        one run and vary in the next, on either side of the cut."""
+        report, _ = cli.run(parse_config(BASE_CONFIG))
+        t1 = [r for r in report["records"] if r["check_id"] == "T1"]
+        batch = cli._ROW_BATCH
+        for name, varies in (("forward", lambda i: i >= edge), ("backward", lambda i: i < edge)):
+            rows = [
+                dict(t1[i % len(t1)], function_id=f"f{i}%", lhs=i / 7) if varies(i) else dict(t1[0], function_id="f%s")
+                for i in range(2 * batch)
+            ]
+            texts = [cli._run_texts(run, cli._CSV_TEXT)[0] for run in cli._runs(rows)]
+            one_text = [not any(map(varies, range(k * batch, (k + 1) * batch))) for k in range(2)]
+            assert [isinstance(t["function_id"], str) for t in texts] == one_text
+            assert [isinstance(t["lhs"], str) for t in texts] == one_text
+            report["records"] = rows
+            out = tmp_path / name
             out.mkdir()
             assert_oracle_bytes(report, out)
 

@@ -7,7 +7,7 @@ import pytest
 
 from morrey_lab import theorems
 from morrey_lab.cli import parse_config
-from morrey_lab.functions import ExponentSet, level_masses
+from morrey_lab.functions import ExponentSet, level_masses, morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import sample_indices
@@ -405,20 +405,32 @@ def loop_level_masses(space, values, mask, gammas):
     return tail[np.searchsorted(v, gammas, side="right")]
 
 
-def loop_ball_reports(space, values, balls, gammas, check_id, params, rhs, theory_constant=None):
-    """The per-ball loop that ``theorems._ball_reports`` replaced, kept as the reference."""
-    gammas = np.asarray(gammas, dtype=float)
-    out = []
-    for a, r in balls:
-        mask = space.dist[a] < r
-        if float(space.mass[mask].sum()) <= 0.0:
-            raise EmptyBall(f"ball({a}, {r}) has zero measure")
-        mu6 = float(space.open_measure(a, 6.0 * r))
-        lhs = loop_level_masses(space, values, mask, gammas)
-        for g, l in zip(gammas, lhs):
-            params_g = {"a": a, "r": r, **params, "gamma": float(g)}
-            out.append(theorems._make_report(check_id, params_g, l, rhs(mu6, g), theory_constant))
-    return out
+def loop_ball_reports(f):
+    """The per-(ball, gamma) loop that ``theorems._ball_reports`` replaced, kept
+    as the reference: it ignores the table ``rhs`` it is given and evaluates
+    each right side with the scalar formula of the check, from the norm of f."""
+    scalar_rhs = {
+        "T1": lambda mu6, g, p, s, norm: mu6 ** (1.0 - 1.0 / p) * norm / g,
+        "T3": lambda mu6, g, p, s, norm: mu6 ** (1.0 - 1.0 / p) * (norm / g) ** (s / p),
+    }
+
+    def reports(space, values, balls, gammas, p, rhs, check_id, params, theory_constant=None):
+        gammas = np.asarray(gammas, dtype=float)
+        norm = morrey_norm(space, np.abs(f), p, 1.0, 2.0)
+        out = []
+        for a, r in balls:
+            mask = space.dist[a] < r
+            if float(space.mass[mask].sum()) <= 0.0:
+                raise EmptyBall(f"ball({a}, {r}) has zero measure")
+            mu6 = float(space.open_measure(a, 6.0 * r))
+            lhs = loop_level_masses(space, values, mask, gammas)
+            for g, l in zip(gammas, lhs):
+                params_g = {"a": a, "r": r, **params, "gamma": float(g)}
+                right = scalar_rhs[check_id](mu6, g, p, params.get("s"), norm)
+                out.append(theorems._make_report(check_id, params_g, l, right, theory_constant))
+        return out
+
+    return reports
 
 
 def loop_level_masses_stack(space, values, masks, gammas):
@@ -448,11 +460,15 @@ class TestBallTables:
 
                 got = reports()
                 with monkeypatch.context() as m:
-                    m.setattr(theorems, "_ball_reports", loop_ball_reports)
+                    m.setattr(theorems, "_ball_reports", loop_ball_reports(f))
                     m.setattr(theorems, "level_masses", loop_level_masses_stack)
                     want = reports()
                 assert [len(reps) for reps in got] == [len(reps) for reps in want]
                 assert got == want, i
+                t1, t3, _ = got
+                assert all(type(rep.passed) is bool for rep in t1) and all(rep.passed is None for rep in t3)
+                numbers = [(rep.lhs, rep.rhs_without_constant, rep.empirical_constant) for rep in t1 + t3]
+                assert all(type(x) is float for row in numbers for x in row)
 
     def test_level_masses_equal_one_mask_loop(self):
         for i, sp in enumerate(reference_spaces()):
@@ -471,3 +487,27 @@ class TestBallTables:
             got = level_masses(sp, f, masks, gammas)
             for mask, row in zip(masks, got):
                 assert np.array_equal(row, loop_level_masses(sp, f, mask, gammas)), i
+
+
+class TestConstants:
+    """The one rule for a report's empirical constant and pass flag, in the
+    scalar form of ``_make_report`` and the array form of the ball tables."""
+
+    CASES = [  # lhs, rhs, constant, pass at theory constant 4
+        (3.0, 2.0, 1.5, True),  # rhs > 0
+        (9.0, 2.0, 4.5, False),
+        (0.0, 2.0, 0.0, True),
+        (0.0, 0.0, 0.0, True),  # lhs == rhs == 0: a vacuous inequality
+        (1.0, 0.0, math.inf, False),  # lhs > 0 == rhs
+    ]
+
+    def test_three_branches(self):
+        for lhs, rhs, const, passed in self.CASES:
+            rep = theorems._make_report("T2", {}, lhs, rhs, 4.0)
+            assert (rep.empirical_constant, rep.passed) == (const, passed)
+            assert type(rep.empirical_constant) is float and type(rep.passed) is bool
+            assert theorems._make_report("T6", {}, lhs, rhs).passed is None
+        lhs, rhs, const, passed = (np.array([column] * 2) for column in zip(*self.CASES))
+        got_const, got_passed = theorems._constants(lhs, rhs, 4.0)
+        assert got_const.tolist() == const.tolist() and got_passed.tolist() == passed.tolist()
+        assert theorems._constants(lhs, rhs)[1] is None
