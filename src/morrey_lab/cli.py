@@ -9,6 +9,10 @@ triple, ball, level), ``report.json`` prints floats with ``repr`` (the
 shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
 
+Each check call's records are built straight from its table (see
+``theorems``): one template per call holds the columns its rows share, and
+the verdict is counted per table as its rows are built.
+
 Both files are written in runs of records with the same keys and the same
 exact value types, formatting each distinct value of a column once; most
 rows are per-(ball, level) samples that repeat a handful of values.  A
@@ -158,7 +162,7 @@ def _parse_spec_entry(cls, raw, context: str, default_id: str, default_seed: int
     ent = _take(raw, context, (), {"id": default_id, "file": None, **_spec_defaults(cls), "seed": None})
     ident = _coerce(context, "id", str, ent["id"])
     if ent["file"] is not None:
-        return ident, str(ent["file"])
+        return ident, _coerce(context, "file", str, ent["file"])
     if ent["family"] is None:
         raise ConfigError(f"{context}: need either 'file' or 'family'")
     if ent["seed"] is None:
@@ -224,11 +228,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 item["estimate"],
                 ctx,
                 ("check",),
-                {"space": None, "exponent": 0, **_spec_defaults(OptimizerConfig, skip=("seed",))},
+                {"space": space_ids[0], "exponent": 0, **_spec_defaults(OptimizerConfig, skip=("seed",))},
             )
             if ent["check"] not in CHECK_IDS:
                 raise ConfigError(f"{ctx}: unknown check id {ent['check']!r}")
-            space = str(ent["space"]) if ent["space"] is not None else space_ids[0]
+            space = _coerce(ctx, "space", str, ent["space"])
             if space not in space_ids:
                 raise ConfigError(f"{ctx}: unknown space {space!r}")
             exponent = _coerce(ctx, "exponent", int, ent["exponent"])
@@ -238,8 +242,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             estimates.append(EstimateRequest(check=ent["check"], space=space, exponent=exponent, optimizer=optimizer))
         elif isinstance(item, dict) and set(item) == {"sweep"}:
             ctx = f"checks[{i}].sweep"
-            ent = _take(item["sweep"], ctx, ("alpha", "p"), {"kappas": [1.0, 1.5, 2.0], "function": None})
-            function = str(ent["function"]) if ent["function"] is not None else function_ids[0]
+            ent = _take(item["sweep"], ctx, ("alpha", "p"), {"kappas": [1.0, 1.5, 2.0], "function": function_ids[0]})
+            function = _coerce(ctx, "function", str, ent["function"])
             if function not in function_ids:
                 raise ConfigError(f"{ctx}: unknown function {function!r}")
             sweeps.append(
@@ -314,44 +318,30 @@ def load_function_file(path: str) -> np.ndarray:
 # run
 
 
-def _report_to_row(rep, space_id, function_id):
-    """A report's record, its keys in ``CSV_COLUMNS`` order."""
-    params, checked = rep.params, rep.theory_constant is not None
-    return {
-        "check_id": rep.check_id,
-        "space_id": space_id,
-        "function_id": function_id,
-        "p": params.get("p", ""),
-        "q": params.get("q", ""),
-        "alpha": params.get("alpha", ""),
-        "s": params.get("s", ""),
-        "t": params.get("t", ""),
-        "kappa": 2.0,  # evaluate runs every check at kappa = 2
-        "gamma": params.get("gamma", ""),
-        "lhs": rep.lhs,
-        "rhs_without_constant": rep.rhs_without_constant,
-        "empirical_constant": rep.empirical_constant,
-        "theory_constant": rep.theory_constant if checked else "",
-        "pass": rep.passed if checked else "",
-    }
-
-
-def _error_row(check_id, space_id, function_id, error):
-    row = {c: "" for c in CSV_COLUMNS}
-    row.update({"check_id": check_id, "space_id": space_id, "function_id": function_id, "error": error})
-    return row
-
-
-def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig):
-    """All requested check records for one (space, function) pair."""
+def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig, verdict: dict):
+    """All requested check records for one (space, function) pair, each
+    check call's rows built from its table; ``verdict`` counts them."""
     rows = []
     for check in cfg.checks:
+        base = {**dict.fromkeys(CSV_COLUMNS, ""), "check_id": check, "space_id": space_id, "function_id": function_id}
         try:
-            reports = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
+            tables = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
         except ValueError as exc:  # bad function values or exponents: surfaced per record, run continues
-            rows.append(_error_row(check, space_id, function_id, f"{type(exc).__name__}: {exc}"))
+            rows.append({**base, "error": f"{type(exc).__name__}: {exc}"})
+            verdict["errors"] += 1
             continue
-        rows.extend(_report_to_row(rep, space_id, function_id) for rep in reports)
+        for t in tables:
+            template = {**base, **t.params, "kappa": 2.0}  # evaluate runs every check at kappa = 2
+            blank = [""] * len(t.lhs)
+            if t.passed is not None:
+                template["theory_constant"] = t.theory_constant
+                verdict["pass"] += t.passed.count(True)
+                verdict["fail"] += t.passed.count(False)
+            columns = zip(t.gamma or blank, t.lhs, t.rhs_without_constant, t.empirical_constant, t.passed or blank)
+            rows += [
+                {**template, "gamma": g, "lhs": l, "rhs_without_constant": r, "empirical_constant": c, "pass": ok}
+                for g, l, r, c, ok in columns
+            ]
     return rows
 
 
@@ -410,13 +400,14 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     say(f"materialized {len(spaces)} spaces")
 
     records, built = [], []  # built: (space, {function id: Values}) per space
+    verdict = {"pass": 0, "fail": 0, "errors": 0}
     needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
         balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
         values = _materialize_functions(cfg, sid, space, base_dir)
         built.append((space, dict(values)))
         for fid, f in values:
-            records += _pair_records(space, sid, f, fid, balls, cfg)
+            records += _pair_records(space, sid, f, fid, balls, cfg, verdict)
     say(f"collected {len(records)} check records")
 
     space_by_id = dict(spaces)  # ids are unique (parse_config)
@@ -446,9 +437,6 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         sweeps.append({"alpha": req.alpha, "p": req.p, "function_id": req.function, "table": rows})
     say(f"ran {len(sweeps)} kappa sweeps")
 
-    n_pass = sum(1 for r in records if r.get("pass") is True)
-    n_fail = sum(1 for r in records if r.get("pass") is False)
-    n_error = sum(1 for r in records if "error" in r)
     config_bytes = json.dumps(cfg.raw, sort_keys=True).encode()
     report = {
         "config": cfg.raw,
@@ -459,9 +447,9 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         "records": records,
         "estimates": estimates,
         "sweeps": sweeps,
-        "verdict": {"pass": n_pass, "fail": n_fail, "errors": n_error},
+        "verdict": verdict,
     }
-    exit_code = 1 if n_fail > 0 else 3 if n_error > 0 else 0
+    exit_code = 1 if verdict["fail"] > 0 else 3 if verdict["errors"] > 0 else 0
     return report, exit_code
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .functions import ExponentSet
 from .space import MetricMeasureSpace
-from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, check_T2_hedberg, enumerate_balls, evaluate
+from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, _t2_table, enumerate_balls, evaluate
 
 STEP_INIT = 1.5  # first multiplicative step of each restart
 STEP_DECAY = 0.9  # step - 1 shrinks by this factor after a stalled sweep
@@ -56,7 +56,7 @@ def make_objective(space: MetricMeasureSpace, check_id: str, exps: ExponentSet, 
     balls = enumerate_balls(space, limit=64, seed=seed) if check_id in BALL_CHECKS else []
 
     def objective(f: np.ndarray) -> float:
-        return max((rep.empirical_constant for rep in evaluate(space, f, check_id, [exps], balls)), default=0.0)
+        return max(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant, default=0.0)
 
     return objective
 
@@ -156,7 +156,7 @@ def kappa_sweep(instances, alpha: float, p: float, kappas) -> list[dict]:
     Report-only; kappa < 2 is the regime the theory does not cover.
     """
     return [
-        {"instance": idx, "n": space.n, "kappa": k, "ratio": check_T2_hedberg(space, f, p, alpha, k).lhs}
+        {"instance": idx, "n": space.n, "kappa": k, "ratio": _t2_table(space, f, p, alpha, k).lhs[0]}
         for idx, (space, f) in enumerate(instances)
         for k in map(float, kappas)
     ]

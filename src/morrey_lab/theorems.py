@@ -7,11 +7,18 @@ constant 4 and the pointwise potential bound with the derived geometric
 constant) also carry a pass flag; the existence-of-C statements only
 report.  A checker takes f as an array or as a ``Values``, and checkers
 given the same ``Values`` compute each operator value and norm of f once.
+
+A check call computes one table: the check id, params and theory constant
+its rows share, and a Python value per row in ``gamma`` (None without
+levels), ``lhs``, ``rhs_without_constant``, ``empirical_constant`` and
+``passed`` (None without a theory constant).  ``evaluate`` returns tables;
+a ``CheckReport`` per row, from the ``check_*`` functions, is their library view.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,17 +66,26 @@ def _constants(lhs, rhs, theory_constant=None):
     return const, (lhs <= theory_constant * rhs) | (const == 0.0)
 
 
-def _make_report(check_id, params, lhs, rhs, theory_constant=None) -> CheckReport:
-    const, passed = _constants(lhs, rhs, theory_constant)
-    return CheckReport(
-        check_id=check_id,
-        params=dict(params),
-        lhs=float(lhs),
-        rhs_without_constant=float(rhs),
-        empirical_constant=float(const),
-        theory_constant=theory_constant,
-        passed=None if passed is None else bool(passed),
-    )
+_Table = namedtuple(
+    "_Table", "check_id params theory_constant gamma lhs rhs_without_constant empirical_constant passed"
+)
+
+
+def _table(check_id, params, lhs, rhs, theory_constant=None, gamma=None) -> _Table:
+    """The rows with sides ``lhs`` and ``rhs``, scalars or arrays of one shape
+    read in C order, and the constants and flags of ``_constants``."""
+    lhs, rhs = np.asarray(lhs, dtype=float).ravel(), np.asarray(rhs, dtype=float).ravel()
+    columns = [lhs, rhs, *_constants(lhs, rhs, theory_constant)]
+    return _Table(check_id, params, theory_constant, gamma, *(None if x is None else x.tolist() for x in columns))
+
+
+def _reports(t: _Table, balls=None) -> list[CheckReport]:
+    """The library view of a table: a report per row, the row's ball (of ``balls``) and level in its params."""
+    n = len(t.lhs)
+    heads = [{}] * n if balls is None else [{"a": a, "r": r} for a, r in balls for _ in range(n // len(balls))]
+    levels = [{}] * n if t.gamma is None else [{"gamma": g} for g in t.gamma]
+    rows = zip(heads, levels, t.lhs, t.rhs_without_constant, t.empirical_constant, t.passed or [None] * n)
+    return [CheckReport(t.check_id, {**h, **t.params, **g}, *row, t.theory_constant, ok) for h, g, *row, ok in rows]
 
 
 def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: int = GAMMA_COUNT) -> np.ndarray:
@@ -107,16 +123,16 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     return list(zip(centers.tolist(), radii.tolist()))
 
 
-def _ball_reports(space, values, balls, gammas, p, rhs, check_id, params, theory_constant=None) -> list[CheckReport]:
-    """Level sets of ``values`` inside each ball B(a,r) of ``balls``: one
-    report per (ball, gamma), in order, with right sides ``rhs(w, gammas)``
-    for the column w of mu(B(a,6r))^(1-1/p).
+def _ball_sides(space, values, balls, gammas, p):
+    """The sides of a (ball x level) table for the level sets of ``values``
+    inside each ball B(a,r) of ``balls``: the column w of mu(B(a,6r))^(1-1/p),
+    the measures of the level sets, and ``gammas`` as an array.
 
-    The whole (ball x level) table is computed at once.  Both sides stay
-    bit for bit those of the scalar formula: ``**`` runs in Python, once per
-    ball here and once per level in ``rhs``, because ``np.power`` may round
-    differently; across the table run only ``*`` and ``/``, which round
-    correctly either way, in the formula's order."""
+    The right side the check computes from w stays bit for bit that of the
+    scalar formula: ``**`` runs in Python, once per ball here and once per
+    level in the check, because ``np.power`` may round differently; across
+    the table run only ``*`` and ``/``, which round correctly either way, in
+    the formula's order."""
     gammas = np.asarray(gammas, dtype=float)
     centers = np.array([a for a, _ in balls], dtype=int)
     radii = np.array([r for _, r in balls], dtype=float)
@@ -127,16 +143,7 @@ def _ball_reports(space, values, balls, gammas, p, rhs, check_id, params, theory
         raise EmptyBall(f"ball({a}, {r}) has zero measure")
     inside6 = np.count_nonzero(space.dist[centers] < 6.0 * radii[:, None], axis=1)
     w = np.array([mu6 ** (1.0 - 1.0 / p) for mu6 in space.csum0[centers, inside6].tolist()])
-    lhs = level_masses(space, values, masks, gammas)
-    rhs = rhs(w[:, None], gammas)
-    const, passed = _constants(lhs, rhs, theory_constant)
-    passed = [[None] * gammas.size] * len(balls) if passed is None else passed.tolist()
-    level_params = [{**params, "gamma": g} for g in gammas.tolist()]
-    return [
-        CheckReport(check_id, {"a": a, "r": r, **ps}, l, rh, c, theory_constant, ok)
-        for (a, r), *row in zip(balls, lhs.tolist(), rhs.tolist(), const.tolist(), passed)
-        for ps, l, rh, c, ok in zip(level_params, *row)
-    ]
+    return w[:, None], level_masses(space, values, masks, gammas), gammas
 
 
 class Values:
@@ -164,18 +171,29 @@ def _values(space, f) -> Values:
     return f
 
 
-def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
-    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
-    6r-ball Morrey bound, explicit constant 4; f may be a ``Values``."""
+def _t1_table(space, f, balls, p, gammas) -> _Table:
     if not p > 1.0:
         raise ExponentOutOfRange(f"p must exceed 1, got {p}")
     v = _values(space, f)
     mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)
+    w, lhs, gammas = _ball_sides(space, mf, balls, gammas, p)
+    return _table("T1", {"p": p}, lhs, w * norm / gammas, 4.0, gammas.tolist() * len(balls))
 
-    def rhs(w, g):
-        return w * norm / g
 
-    return _ball_reports(space, mf, balls, gammas, p, rhs, "T1", {"p": p}, theory_constant=4.0)
+def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
+    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
+    6r-ball Morrey bound, explicit constant 4; f may be a ``Values``."""
+    return _reports(_t1_table(space, f, balls, p, gammas), balls)
+
+
+def _t2_table(space, f, p, alpha, kappa=2.0) -> _Table:
+    ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
+    v = _values(space, f)
+    pot = v.of(fractional_integral, alpha, kappa)
+    denom = v.of(maximal, 2.0) ** (1.0 - p * alpha) * v.of(morrey_norm, p, 1.0, 2.0) ** (p * alpha)
+    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
+    lhs = float(ratios.max()) if ratios.size else 0.0
+    return _table("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
 
 
 def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
@@ -183,53 +201,61 @@ def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> Ch
     M_2 f^{1-p*alpha} norm^{p*alpha}; points where the denominator vanishes
     count as 0, and f may be a ``Values``.  The explicit constant is the one
     derived for kappa = 2."""
-    ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
+    return _reports(_t2_table(space, f, p, alpha, kappa))[0]
+
+
+def _t3_table(space, f, balls, exps, gammas) -> _Table:
     v = _values(space, f)
-    pot = v.of(fractional_integral, alpha, kappa)
-    denom = v.of(maximal, 2.0) ** (1.0 - p * alpha) * v.of(morrey_norm, p, 1.0, 2.0) ** (p * alpha)
-    ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
-    lhs = float(ratios.max()) if ratios.size else 0.0
-    return _make_report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
+    pot, norm = v.of(fractional_integral, exps.alpha, 2.0), v.of(morrey_norm, exps.p, 1.0, 2.0)
+    sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
+    w, lhs, gammas = _ball_sides(space, pot, balls, gammas, exps.p)
+    rhs = w * np.array([(norm / g) ** sp for g in gammas])
+    return _table("T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, lhs, rhs, gamma=gammas.tolist() * len(balls))
 
 
 def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
     """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
     ``balls``; constant left abstract, and f may be a ``Values``."""
+    return _reports(_t3_table(space, f, balls, exps, gammas), balls)
+
+
+def _t6_table(space, f, exps) -> _Table:
     v = _values(space, f)
-    pot, norm = v.of(fractional_integral, exps.alpha, 2.0), v.of(morrey_norm, exps.p, 1.0, 2.0)
-    sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
-
-    def rhs(w, gammas):
-        return w * np.array([(norm / g) ** sp for g in gammas])
-
-    return _ball_reports(space, pot, balls, gammas, exps.p, rhs, "T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s})
+    lhs = morrey_norm(space, v.of(fractional_integral, exps.alpha, 2.0), exps.s, exps.t, 6.0)
+    params = {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t}
+    return _table("T6", params, lhs, v.of(morrey_norm, exps.p, exps.q, 2.0))
 
 
 def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:
     """Morrey norm of the potential on the (s, t, 6) scale against the
     (p, q, 2) norm of f, which may be a ``Values``."""
-    v = _values(space, f)
-    lhs = morrey_norm(space, v.of(fractional_integral, exps.alpha, 2.0), exps.s, exps.t, 6.0)
-    params = {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t}
-    return _make_report("T6", params, lhs, v.of(morrey_norm, exps.p, exps.q, 2.0))
+    return _reports(_t6_table(space, f, exps))[0]
 
 
-def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
-    """Morrey boundedness of M_2 on the (p, q) scale; f may be a ``Values``."""
+def _t7_table(space, f, p, q) -> _Table:
     if not 1.0 < q <= p:
         raise ExponentOutOfRange(f"need 1 < q <= p, got q={q}, p={p}")
     v = _values(space, f)
     lhs = morrey_norm(space, v.of(maximal, 2.0), p, q, 6.0)
-    return _make_report("T7", {"p": p, "q": q}, lhs, v.of(morrey_norm, p, q, 2.0))
+    return _table("T7", {"p": p, "q": q}, lhs, v.of(morrey_norm, p, q, 2.0))
+
+
+def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
+    """Morrey boundedness of M_2 on the (p, q) scale; f may be a ``Values``."""
+    return _reports(_t7_table(space, f, p, q))[0]
+
+
+def _weak_l1_table(space, f, gammas) -> _Table:
+    v, gammas = _values(space, f), np.asarray(gammas, dtype=float)
+    mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)
+    lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
+    return _table("weakL1", {}, lhs, l1 / gammas, gamma=gammas.tolist())
 
 
 def check_weak_L1(space, f, gammas) -> list[CheckReport]:
     """Global level sets of M_2 f against the L1 norm; report-only (the
     constant lives in the cited literature), and f may be a ``Values``."""
-    v, gammas = _values(space, f), np.asarray(gammas, dtype=float)
-    mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)
-    lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
-    return [_make_report("weakL1", {"gamma": float(g)}, l, l1 / g) for g, l in zip(gammas, lhs)]
+    return _reports(_weak_l1_table(space, f, gammas))
 
 
 def evaluate(
@@ -241,13 +267,14 @@ def evaluate(
     gamma_lo: float = GAMMA_LO,
     gamma_hi: float = GAMMA_HI,
     gamma_count: int = GAMMA_COUNT,
-) -> list[CheckReport]:
-    """Every report of one check on one function: per exponent triple, and
-    for the ball checks (``BALL_CHECKS``) per ball in ``balls``.
+) -> list[_Table]:
+    """The tables of one check on one function: one per exponent triple
+    (weakL1: one), with a row per ball in ``balls`` and level for the ball
+    checks (``BALL_CHECKS``).  Row i is report i of the public check.
 
-    This is the one dispatch over ``CHECK_IDS``.  It calls the public checks
-    on one ``Values`` (``f`` itself if it is one), so each operator value and
-    norm is computed once for all of them.  The level grids span [gamma_lo,
+    This is the one dispatch over ``CHECK_IDS``.  It runs the checks on one
+    ``Values`` (``f`` itself if it is one), so each operator value and norm
+    is computed once for all of them.  The level grids span [gamma_lo,
     gamma_hi] times the maximum of the operator whose level sets are measured.
     """
     v = _values(space, f)
@@ -256,14 +283,14 @@ def evaluate(
         return gamma_grid(float(v.of(op, *args).max()), gamma_lo, gamma_hi, gamma_count)
 
     per_triple = {
-        "T1": lambda e: check_T1_weak_maximal(space, v, balls, e.p, levels(maximal, 2.0)),
-        "T2": lambda e: [check_T2_hedberg(space, v, e.p, e.alpha)],
-        "T3": lambda e: check_T3_weak_frac(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
-        "T6": lambda e: [check_T6_strong(space, v, e)],
-        "T7": lambda e: [check_T7_maximal_morrey(space, v, e.p, e.q)],
+        "T1": lambda e: _t1_table(space, v, balls, e.p, levels(maximal, 2.0)),
+        "T2": lambda e: _t2_table(space, v, e.p, e.alpha),
+        "T3": lambda e: _t3_table(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
+        "T6": lambda e: _t6_table(space, v, e),
+        "T7": lambda e: _t7_table(space, v, e.p, e.q),
     }
     if check_id == "weakL1":
-        return check_weak_L1(space, v, levels(maximal, 2.0))
+        return [_weak_l1_table(space, v, levels(maximal, 2.0))]
     if check_id not in per_triple:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
-    return [rep for e in exponents for rep in per_triple[check_id](e)]
+    return [per_triple[check_id](e) for e in exponents]

@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "t1-divides-by-reciprocal",
         "theorems.py",
-        "return w * norm / g",
-        "return w * norm * (1.0 / g)",
+        "w * norm / gammas",
+        "w * norm * (1.0 / gammas)",
         (
             "tests/test_theorems.py::TestBallTables::test_reports_equal_per_ball_loop",
             "tests/test_acceptance.py::test_criterion_9_end_to_end_determinism",
@@ -185,6 +185,20 @@ MUTANTS = (
             "tests/test_theorems.py::TestConstants::test_three_branches",
             "tests/test_theorems.py::TestT6::test_zero_function",
         ),
+    ),
+    Mutant(
+        "t1-unmodified-maximal",
+        "theorems.py",
+        "mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)",
+        "mf, norm = v.of(maximal, 1.0), v.of(morrey_norm, p, 1.0, 2.0)",
+        ("tests/test_theorems.py::TestHubAndSpoke::test_t1_constant_is_one",),
+    ),
+    Mutant(
+        "weak-l1-unmodified-maximal",
+        "theorems.py",
+        "mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)",
+        "mf, l1 = v.of(maximal, 1.0), v.of(lq_norm, 1.0)",
+        ("tests/test_theorems.py::TestHubAndSpoke::test_weak_l1_constant_is_one",),
     ),
     Mutant(
         "ball-indicator-open-ball",

@@ -181,11 +181,19 @@ class TestConfigErrorsExitTwo:
             ({"output_dir": 7}, "config: 'output_dir' must be str, got 7"),
             ({"spaces": [{"id": None, "family": "grid", "n": 4}]}, "spaces[0]: 'id' must be str, got None"),
             ({"functions": [{"id": 3, "family": "constant"}]}, "functions[0]: 'id' must be str, got 3"),
+            ({"spaces": [{"id": "7", "family": "grid", "n": 4}], "checks": [{"estimate": {"check": "T6", "space": 7}}]},
+             "checks[0].estimate: 'space' must be str, got 7"),
+            ({"functions": [{"id": "3.0", "family": "constant"}], "checks": [{"sweep": {"alpha": 0.25, "p": 2.0, "function": 3.0}}]},
+             "checks[0].sweep: 'function' must be str, got 3.0"),
+            ({"spaces": [{"id": "g", "file": 5}]}, "spaces[0]: 'file' must be str, got 5"),
+            ({"checks": [{"estimate": {"check": "T6", "space": None}}]}, "checks[0].estimate: 'space' must be str, got None"),
         ],
-        ids=["output-dir-null", "output-dir-number", "space-id-null", "function-id-number"],
+        ids=["output-dir-null", "output-dir-number", "space-id-null", "function-id-number", "estimate-space-number",
+             "sweep-function-number", "space-file-number", "estimate-space-null"],
     )
     def test_string_key_of_another_type(self, tmp_path, capsys, overrides, message):
-        """str() would name a directory, space or function "None"."""
+        """str() would name a directory, space or function "None", match the
+        space "7" with 7 or the function "3.0" with 3.0, and read the file "5"."""
         code, err = self.run_with(tmp_path, capsys, overrides)
         assert code == 2
         assert err.startswith(f"config error: {message}\n")
@@ -794,6 +802,45 @@ class TestSharedWork:
         assert len(swept["maximal"]) == len(plain["maximal"])
         assert len(swept["morrey_norm"]) == len(plain["morrey_norm"])
         assert len(swept["fractional_integral"]) - len(plain["fractional_integral"]) == 6
+
+
+    def test_run_builds_no_check_report(self, monkeypatch):
+        """Records, estimates and sweeps come straight from the check tables;
+        a ``CheckReport`` is only the public checkers' view of one."""
+        from morrey_lab import theorems
+
+        def stub(*args, **kwargs):
+            raise AssertionError("cli.run built a CheckReport")
+
+        checks = [
+            *CHECK_IDS,
+            {"estimate": {"check": "T1", "restarts": 1, "max_iters": 4}},
+            {"sweep": {"alpha": 0.25, "p": 2.0}},
+        ]
+        monkeypatch.setattr(theorems, "CheckReport", stub)
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, checks=checks)))
+        assert code == 0 and len(report["estimates"]) == len(report["sweeps"]) == 1
+        assert {r["check_id"] for r in report["records"]} == set(CHECK_IDS)
+        with pytest.raises(AssertionError, match="built a CheckReport"):  # the public checkers do build them
+            theorems.check_T7_maximal_morrey(generate_space(SpaceSpec("grid", n=4)), np.ones(4), 2.0, 1.5)
+
+    def test_verdict_is_a_recount_of_the_records(self, tmp_path, monkeypatch):
+        """The verdict is counted per table as the records are built; it must
+        equal a count over the records, with passes, failures and errors."""
+        from morrey_lab import theorems
+
+        (tmp_path / "nan.json").write_text(json.dumps([1.0, float("nan"), 1.0, 1.0]))
+        functions = [*BASE_CONFIG["functions"], {"id": "nan", "file": "nan.json"}]
+        monkeypatch.setattr(theorems, "hedberg_constant", lambda p, alpha: 0.0)  # every nonzero T2 row fails
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, functions=functions)), base_dir=str(tmp_path))
+        records = report["records"]
+        recount = {
+            "pass": sum(r["pass"] is True for r in records),
+            "fail": sum(r["pass"] is False for r in records),
+            "errors": sum("error" in r for r in records),
+        }
+        assert report["verdict"] == recount and code == 1
+        assert recount["pass"] > 0 and recount["fail"] == 2 and recount["errors"] == len(CHECK_IDS)
 
 
 class TestShippedCorpus:

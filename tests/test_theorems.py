@@ -7,13 +7,14 @@ import pytest
 
 from morrey_lab import theorems
 from morrey_lab.cli import parse_config
-from morrey_lab.functions import ExponentSet, level_masses, morrey_norm
+from morrey_lab.functions import ExponentSet, level_masses, lq_norm, morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import sample_indices
 from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import (
     CHECK_IDS,
+    CheckReport,
     EmptyBall,
     UnknownCheckId,
     Values,
@@ -282,6 +283,65 @@ class TestWeakL1:
                 assert rep.empirical_constant <= 1.0 + 1e-12
 
 
+class TestHubAndSpoke:
+    """On a finite space T1 holds with constant 1, and so does weakL1.
+
+    Covering sketch.  Take E = {M_2 f > gamma} inside B(a, r).  Each x in E
+    has an r_x with int_{B(x, r_x)} |f| > gamma mu(B(x, 2 r_x)).
+    - Some r_x >= r: then E lies in B(x, 2 r_x), and the (p,1,2) norm gives
+      gamma < ||f|| mu(B(x, 2 r_x))^{-1/p}, so gamma mu(E) < ||f||
+      mu(E)^{1-1/p} <= ||f|| mu(B(a, r))^{1-1/p}.
+    - Every r_x < r: greedy Vitali by decreasing r_x picks disjoint balls
+      B(x_i, r_i) inside B(a, 2r) whose doubles cover E, so gamma mu(E) <
+      int_{B(a, 2r)} |f| <= ||f|| mu(B(a, 4r))^{1-1/p}.
+    So T1 holds with constant 1 even with mu(B(a, 4r)) in place of the
+    checked mu(B(a, 6r)); the same covering without the ball gives weakL1
+    with constant 1.  If a gap is found in this argument, the oracle is
+    wrong, not the code.
+
+    The space: a hub of mass 1 at distance 1 from N leaves of mass 0.5, the
+    leaves 2 apart, and f the hub's indicator with p = 2.  The doubling
+    ratio grows with N, and the dilation 2 of M_2 is what keeps the
+    constant at 1: the unmodified M_1 reaches 1.49, 2.75 and 5.37 at N = 8,
+    32 and 128, past the checked 4 at N = 128.
+
+    Every ball is taken at each right-limit radius, ``nextafter(d, inf)``
+    for each distance d from its center, and every level just below a value
+    of the maximal operator: any ``M_k f`` value here is 1/mu for the
+    measure mu of a closed ball, so ``nextafter(1/mu, 0)`` over those
+    measures gives every level set whatever the operator.
+    """
+
+    ULPS = 3 * np.spacing(1.0)
+
+    @staticmethod
+    def instance(N):
+        dist = np.full((N + 1, N + 1), 2.0)
+        dist[0, :] = dist[:, 0] = 1.0
+        np.fill_diagonal(dist, 0.0)
+        space = MetricMeasureSpace(dist, np.array([1.0] + [0.5] * N))
+        radii = [(a, d) for a in range(space.n) for d in np.unique(space.dist[a]).tolist()]
+        balls = [(a, float(np.nextafter(d, math.inf))) for a, d in radii]
+        measures = np.unique([space.closed_measure(a, d) for a, d in radii])
+        return space, np.eye(N + 1)[0], balls, np.nextafter(1.0 / measures, 0.0)
+
+    @pytest.mark.parametrize("N", [8, 32, 128])
+    def test_t1_constant_is_one(self, N):
+        space, f, balls, gammas = self.instance(N)
+        reps = check_T1_weak_maximal(space, f, balls, 2.0, gammas)
+        assert len(reps) == len(balls) * len(gammas)
+        assert abs(max(rep.empirical_constant for rep in reps) - 1.0) <= self.ULPS
+        assert all(rep.passed is True for rep in reps)
+
+    @pytest.mark.parametrize("N", [8, 32, 128])
+    def test_weak_l1_constant_is_one(self, N):
+        space, f, _, gammas = self.instance(N)
+        assert lq_norm(space, f, 1.0) == 1.0
+        reps = check_weak_L1(space, f, gammas)
+        assert [rep.rhs_without_constant for rep in reps] == (1.0 / gammas).tolist()
+        assert abs(max(rep.empirical_constant for rep in reps) - 1.0) <= self.ULPS
+
+
 class TestScalingInvariance:
     def test_metric_scaling_all_checkers(self):
         sp = random_space(9)
@@ -313,6 +373,23 @@ class TestScalingInvariance:
         b = check_weak_L1(sp, f, [0.3])[0].empirical_constant
         s = check_weak_L1(sp, lam * f, [lam * 0.3])[0].empirical_constant
         assert s == pytest.approx(b, rel=1e-12)
+
+
+def assert_rows_are_reports(tables, reports):
+    """Row i of ``tables``, read table by table, is ``reports[i]`` field by
+    field: ``==`` on floats that are Python floats, and flags that are the
+    same bool or None.  A report's ball ``a``, ``r`` is not a table column."""
+    rows = [(t, i) for t in tables for i in range(len(t.lhs))]
+    assert len(rows) == len(reports) > 0
+    for (t, i), rep in zip(rows, reports):
+        assert (t.check_id, t.theory_constant) == (rep.check_id, rep.theory_constant)
+        level = {} if t.gamma is None else {"gamma": t.gamma[i]}
+        assert {**t.params, **level} == {k: v for k, v in rep.params.items() if k not in ("a", "r")}
+        numbers = (t.lhs[i], t.rhs_without_constant[i], t.empirical_constant[i])
+        assert numbers == (rep.lhs, rep.rhs_without_constant, rep.empirical_constant)
+        assert all(type(x) is float for x in numbers)
+        passed = None if t.passed is None else t.passed[i]
+        assert passed is rep.passed and (passed is None or type(passed) is bool)
 
 
 def per_ball_reports(space, f, check_id, exponents, balls, lo, hi, count):
@@ -373,8 +450,10 @@ class TestEvaluate:
                 for check in CHECK_IDS:
                     got = evaluate(sp, f, check, cfg.exponents, balls, *grid)
                     want = per_ball_reports(sp, f, check, cfg.exponents, balls, *grid)
-                    assert len(got) == len(want) > 0
-                    assert got == want, (check, fspec)
+                    assert len(got) == (1 if check == "weakL1" else len(cfg.exponents))
+                    assert_rows_are_reports(got, want)
+                    ball_rows = balls if check in theorems.BALL_CHECKS else None
+                    assert [rep for t in got for rep in theorems._reports(t, ball_rows)] == want, (check, fspec)
 
     def test_unknown_check_id(self):
         with pytest.raises(UnknownCheckId):
@@ -391,8 +470,8 @@ class TestEvaluate:
 
         monkeypatch.setattr(theorems, "maximal", counted)
         sp = random_space(4)
-        got = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS], [])
-        assert calls == [2.0] and len(got) == 25
+        (got,) = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS], [])
+        assert calls == [2.0] and len(got.lhs) == 25
 
 
 def loop_level_masses(space, values, mask, gammas):
@@ -405,32 +484,29 @@ def loop_level_masses(space, values, mask, gammas):
     return tail[np.searchsorted(v, gammas, side="right")]
 
 
-def loop_ball_reports(f):
-    """The per-(ball, gamma) loop that ``theorems._ball_reports`` replaced, kept
-    as the reference: it ignores the table ``rhs`` it is given and evaluates
-    each right side with the scalar formula of the check, from the norm of f."""
+def loop_ball_reports(space, f, check_id, balls, gammas, p, params, theory_constant=None):
+    """The per-(ball, gamma) loop that the (ball x level) tables replaced, kept
+    as the reference: each right side from the scalar formula of the check,
+    from the norm of f, and each constant and flag from the scalar form of
+    the one rule, ``_constants``."""
     scalar_rhs = {
         "T1": lambda mu6, g, p, s, norm: mu6 ** (1.0 - 1.0 / p) * norm / g,
         "T3": lambda mu6, g, p, s, norm: mu6 ** (1.0 - 1.0 / p) * (norm / g) ** (s / p),
     }
-
-    def reports(space, values, balls, gammas, p, rhs, check_id, params, theory_constant=None):
-        gammas = np.asarray(gammas, dtype=float)
-        norm = morrey_norm(space, np.abs(f), p, 1.0, 2.0)
-        out = []
-        for a, r in balls:
-            mask = space.dist[a] < r
-            if float(space.mass[mask].sum()) <= 0.0:
-                raise EmptyBall(f"ball({a}, {r}) has zero measure")
-            mu6 = float(space.open_measure(a, 6.0 * r))
-            lhs = loop_level_masses(space, values, mask, gammas)
-            for g, l in zip(gammas, lhs):
-                params_g = {"a": a, "r": r, **params, "gamma": float(g)}
-                right = scalar_rhs[check_id](mu6, g, p, params.get("s"), norm)
-                out.append(theorems._make_report(check_id, params_g, l, right, theory_constant))
-        return out
-
-    return reports
+    f = np.abs(f)
+    values = maximal(space, f, 2.0) if check_id == "T1" else fractional_integral(space, f, params["alpha"], 2.0)
+    norm = morrey_norm(space, f, p, 1.0, 2.0)
+    out = []
+    for a, r in balls:
+        mask = space.dist[a] < r
+        mu6 = float(space.open_measure(a, 6.0 * r))
+        for g, l in zip(gammas, loop_level_masses(space, values, mask, gammas)):
+            right = scalar_rhs[check_id](mu6, g, p, params.get("s"), norm)
+            const, passed = theorems._constants(l, right, theory_constant)
+            params_g = {"a": a, "r": r, **params, "gamma": float(g)}
+            ok = None if passed is None else bool(passed)
+            out.append(CheckReport(check_id, params_g, float(l), float(right), float(const), theory_constant, ok))
+    return out
 
 
 def loop_level_masses_stack(space, values, masks, gammas):
@@ -460,11 +536,22 @@ class TestBallTables:
 
                 got = reports()
                 with monkeypatch.context() as m:
-                    m.setattr(theorems, "_ball_reports", loop_ball_reports(f))
                     m.setattr(theorems, "level_masses", loop_level_masses_stack)
-                    want = reports()
+                    weak_l1 = check_weak_L1(sp, f, gam1)
+                want = (
+                    loop_ball_reports(sp, f, "T1", balls, gam1, 2.0, {"p": 2.0}, 4.0),
+                    loop_ball_reports(sp, f, "T3", balls, gam3, EXPS.p, {"p": EXPS.p, "alpha": EXPS.alpha, "s": EXPS.s}),
+                    weak_l1,
+                )
                 assert [len(reps) for reps in got] == [len(reps) for reps in want]
                 assert got == want, i
+                tables = (
+                    theorems._t1_table(sp, f, balls, 2.0, gam1),
+                    theorems._t3_table(sp, f, balls, EXPS, gam3),
+                    theorems._weak_l1_table(sp, f, gam1),
+                )
+                for table, reps in zip(tables, want):
+                    assert_rows_are_reports([table], reps)
                 t1, t3, _ = got
                 assert all(type(rep.passed) is bool for rep in t1) and all(rep.passed is None for rep in t3)
                 numbers = [(rep.lhs, rep.rhs_without_constant, rep.empirical_constant) for rep in t1 + t3]
@@ -490,8 +577,9 @@ class TestBallTables:
 
 
 class TestConstants:
-    """The one rule for a report's empirical constant and pass flag, in the
-    scalar form of ``_make_report`` and the array form of the ball tables."""
+    """The one rule for a row's empirical constant and pass flag, in the
+    one-row tables of the scalar checks, their reports, and the array form
+    of the ball tables."""
 
     CASES = [  # lhs, rhs, constant, pass at theory constant 4
         (3.0, 2.0, 1.5, True),  # rhs > 0
@@ -503,10 +591,13 @@ class TestConstants:
 
     def test_three_branches(self):
         for lhs, rhs, const, passed in self.CASES:
-            rep = theorems._make_report("T2", {}, lhs, rhs, 4.0)
+            table = theorems._table("T2", {}, lhs, rhs, 4.0)
+            assert (table.empirical_constant, table.passed) == ([const], [passed])
+            (rep,) = theorems._reports(table)
             assert (rep.empirical_constant, rep.passed) == (const, passed)
             assert type(rep.empirical_constant) is float and type(rep.passed) is bool
-            assert theorems._make_report("T6", {}, lhs, rhs).passed is None
+            assert theorems._table("T6", {}, lhs, rhs).passed is None
+            assert theorems._reports(theorems._table("T6", {}, lhs, rhs))[0].passed is None
         lhs, rhs, const, passed = (np.array([column] * 2) for column in zip(*self.CASES))
         got_const, got_passed = theorems._constants(lhs, rhs, 4.0)
         assert got_const.tolist() == const.tolist() and got_passed.tolist() == passed.tolist()
