@@ -9,18 +9,12 @@ triple, ball, level), ``report.json`` prints floats with ``repr`` (the
 shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
 
-Each check call's records are built straight from its table (see
-``theorems``): one template per call holds the columns its rows share, and
-the verdict is counted per table as its rows are built.
-
-Both files are written in runs of records with the same keys and the same
-exact value types, formatting each distinct value of a column once; most
-rows are per-(ball, level) samples that repeat a handful of values.  A
-column with one value in a run is part of that run's row template, so each
-row formats only the columns that vary.  The bytes are those of
-``json.dumps(indent=2)`` and of ``csv.writer``: runs are cut on exact types
-because ``True == 1 == 1.0``, and a column holding -0.0 (equal to 0.0), NaN
-or an infinity is formatted cell by cell.
+``run`` keeps each check call's table (see ``theorems``) as one record
+block: the values its rows share and the lists of those that vary.  The
+verdict is counted per table.  ``write_report`` formats a block's shared
+values once and each varying column's distinct values once, where that
+gives the bytes of ``json.dumps(indent=2)`` and of ``csv.writer``; most
+rows are per-(ball, level) samples that repeat a handful of values.
 """
 
 from __future__ import annotations
@@ -29,11 +23,13 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import typing
+from array import array
 from dataclasses import MISSING, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 
@@ -319,30 +315,29 @@ def load_function_file(path: str) -> np.ndarray:
 
 
 def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig, verdict: dict):
-    """All requested check records for one (space, function) pair, each
-    check call's rows built from its table; ``verdict`` counts them."""
-    rows = []
+    """The record blocks of one (space, function) pair, one per check call:
+    ``(shared, columns)``, the values its rows share and the lists of those
+    that vary, straight from the call's table; ``verdict`` counts them."""
+    blocks = []
     for check in cfg.checks:
         base = {**dict.fromkeys(CSV_COLUMNS, ""), "check_id": check, "space_id": space_id, "function_id": function_id}
         try:
             tables = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
         except ValueError as exc:  # bad function values or exponents: surfaced per record, run continues
-            rows.append({**base, "error": f"{type(exc).__name__}: {exc}"})
+            blocks.append(({**base, "error": f"{type(exc).__name__}: {exc}"}, {}))
             verdict["errors"] += 1
             continue
         for t in tables:
-            template = {**base, **t.params, "kappa": 2.0}  # evaluate runs every check at kappa = 2
-            blank = [""] * len(t.lhs)
+            shared = {**base, **t.params, "kappa": 2.0}  # evaluate runs every check at kappa = 2
             if t.passed is not None:
-                template["theory_constant"] = t.theory_constant
+                shared["theory_constant"] = t.theory_constant
                 verdict["pass"] += t.passed.count(True)
                 verdict["fail"] += t.passed.count(False)
-            columns = zip(t.gamma or blank, t.lhs, t.rhs_without_constant, t.empirical_constant, t.passed or blank)
-            rows += [
-                {**template, "gamma": g, "lhs": l, "rhs_without_constant": r, "empirical_constant": c, "pass": ok}
-                for g, l, r, c, ok in columns
-            ]
-    return rows
+            lists = {"gamma": t.gamma, "lhs": t.lhs, "rhs_without_constant": t.rhs_without_constant,
+                     "empirical_constant": t.empirical_constant, "pass": t.passed}
+            columns = {key: column for key, column in lists.items() if column is not None}
+            blocks.append(({key: v for key, v in shared.items() if key not in columns}, columns))
+    return blocks
 
 
 def _read_input_file(load, path: str):
@@ -408,7 +403,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         built.append((space, dict(values)))
         for fid, f in values:
             records += _pair_records(space, sid, f, fid, balls, cfg, verdict)
-    say(f"collected {len(records)} check records")
+    say(f"collected {len(records)} check record blocks")
 
     space_by_id = dict(spaces)  # ids are unique (parse_config)
     estimates = []
@@ -453,25 +448,11 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
     return report, exit_code
 
 
-_ROW_BATCH = 256
+_WRITE_ROWS = 256  # rows per write call, so no write holds a whole large block
 # "error" is not in CSV_COLUMNS: a JSON record has an "error" key only when it
 # could not be evaluated, which is how run() counts errors.
 _CSV_ALL_COLUMNS = [*CSV_COLUMNS, "error"]
 _CSV_HEADER = ",".join(_CSV_ALL_COLUMNS) + "\n"
-
-
-def _runs(records: list):
-    """``records`` cut into runs of at most ``_ROW_BATCH`` consecutive rows
-    with the same keys in the same order and the same exact value types."""
-    start, shape = 0, None
-    for i, row in enumerate(records):
-        key = (tuple(row), tuple(map(type, row.values())))
-        if key != shape or i - start == _ROW_BATCH:
-            if i:
-                yield records[start:i]
-            start, shape = i, key
-    if records:
-        yield records[start:]
 
 
 def _csv_field(text: str) -> str:
@@ -482,91 +463,105 @@ def _csv_field(text: str) -> str:
 
 
 # The text of a value of each exact type whose equal values print alike;
-# None: any other type, formatted one cell at a time.
+# None: any value, formatted one cell at a time.
 _JSON_TEXT = {float: float.__repr__, str: encode_basestring_ascii, bool: _fmt, None: json.dumps}
 _CSV_TEXT = {float: "%.17g".__mod__, str: _csv_field, bool: _fmt, None: lambda v: _csv_field(_fmt(v))}
+_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
 
 
-def _distinct(column: tuple):
-    """The distinct values of a run's column if formatting each once is
-    exact (see ``write_report``), else None."""
-    kind = type(column[0])
-    if kind not in (float, str, bool):
-        return None
-    distinct = dict.fromkeys(column)
-    if kind is float and not all(map(math.isfinite, distinct)):
-        return None
-    if kind is float and 0.0 in distinct and any(math.copysign(1.0, v) < 0.0 for v in column if v == 0.0):
-        return None
-    return distinct
-
-
-def _run_texts(run: list, *formats: dict) -> list:
-    """Per format, ``{key: the texts of the key's column}`` for one run; a
-    column with one value in the run has that value's one text, a ``str``."""
-    out = [{} for _ in formats]
-    for key, column in zip(run[0], zip(*map(dict.values, run))):
-        distinct = _distinct(column)
-        for texts, text in zip(out, formats):
-            if distinct is None:
-                texts[key] = list(map(text[None], column))
-            elif len(distinct) == 1:
-                texts[key] = text[type(column[0])](column[0])
-            else:
-                table = dict(zip(distinct, map(text[type(column[0])], distinct)))
-                texts[key] = list(map(table.__getitem__, column))
-    return out
+def _column_texts(column: list, formats: list) -> list:
+    """Per format, the texts of a column's cells: one ``str`` if the column
+    is one value, else a list.  Each distinct value is formatted once where
+    that is exact (see ``write_report``), otherwise each cell."""
+    kinds = set(map(type, column))
+    distinct = None
+    if kinds <= {float, str, bool} and len(kinds - {str}) <= 1:  # no str equals a number
+        distinct = dict.fromkeys(column)
+        if float in kinds and not all(math.isfinite(v) for v in distinct if type(v) is float):
+            distinct = None
+        elif float in kinds and 0.0 in distinct and (str in kinds or _NEGATIVE_ZERO in array("d", column).tobytes()):
+            distinct = None  # the bytes may also match across two cells, which costs only speed
+    if distinct is None and len(column) > 1:
+        return [list(map(fmt[None], column)) for fmt in formats]
+    if distinct is None or len(distinct) == 1:
+        return [fmt[type(column[0]) if distinct else None](column[0]) for fmt in formats]
+    return [list(map({v: fmt[type(v)](v) for v in distinct}.__getitem__, column)) for fmt in formats]
 
 
 def _slot(texts) -> str:
-    """A column's slot in a run's template: its one text, ``%``-escaped, or
-    ``%s`` for a column whose texts vary."""
+    """A column's slot in a block's row template: its one text,
+    ``%``-escaped, or ``%s`` for a column whose texts vary."""
     return texts.replace("%", "%%") if isinstance(texts, str) else "%s"
 
 
-def _rows(template: str, run: list, columns: list) -> map:
-    """``template`` filled with each row's cells of the ``columns`` that vary."""
-    columns = [texts for texts in columns if not isinstance(texts, str)]
-    return map(template.__mod__, zip(*columns) if columns else [()] * len(run))
-
-
-def _json_rows(run: list, texts: dict) -> str:
-    """A run as ``json.dumps(indent=2)`` prints records two levels deep;
-    records are flat, non-empty and keyed by strings."""
+def _json_template(texts: dict):
+    """A row as ``json.dumps(indent=2)`` prints records two levels deep, and
+    the columns in its slots; records are flat and keyed by strings."""
     keys = sorted(texts)
     fields = ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": " + _slot(texts[k]) for k in keys)
-    template = "\n    {\n      " + fields + "\n    }"
-    return ",".join(_rows(template, run, [texts[k] for k in keys]))
+    return "\n    {\n      " + fields + "\n    }", [texts[k] for k in keys]
 
 
-def _csv_rows(run: list, texts: dict) -> str:
-    template = ",".join(_slot(texts[c]) if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
-    return "".join(_rows(template, run, [texts[c] for c in _CSV_ALL_COLUMNS if c in texts]))
+def _csv_template(texts: dict):
+    row = ",".join(_slot(texts[c]) if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
+    return row, [texts[c] for c in _CSV_ALL_COLUMNS if c in texts]
+
+
+# (value texts, row template, row separator) of each file
+_JSON = (_JSON_TEXT, _json_template, ",")
+_CSV = (_CSV_TEXT, _csv_template, "")
+
+
+def _block_texts(shared: dict, columns: dict, formats: list) -> list:
+    """Per format, ``{key: texts}`` of one block; a shared value is a column of one."""
+    texts = [{} for _ in formats]
+    for key, column in [*((k, [v]) for k, v in shared.items()), *columns.items()]:
+        for out, text in zip(texts, _column_texts(column, formats)):
+            out[key] = text
+    return texts
+
+
+def _chunks(blocks, *formats):
+    """The rows of ``blocks`` in each of ``formats``, joined ``_WRITE_ROWS``
+    rows at a time.  A block is ``(shared, columns)``: the values that all
+    its rows share, by key, and equally long lists of the others; a block
+    without columns is one row."""
+    for shared, columns in blocks:
+        n = len(next(iter(columns.values()))) if columns else 1
+        if not n:
+            continue
+        rows = []
+        for (_, template_of, _), texts in zip(formats, _block_texts(shared, columns, [f[0] for f in formats])):
+            template, slots = template_of(texts)
+            varying = [s for s in slots if not isinstance(s, str)]
+            rows.append(map(template.__mod__, zip(*varying)) if varying else itertools.repeat(template % (), n))
+        for _ in range(0, n, _WRITE_ROWS):
+            yield [sep.join(itertools.islice(r, _WRITE_ROWS)) for r, (_, _, sep) in zip(rows, formats)]
 
 
 def write_csv(records, fh):
+    """``records.csv`` of plain row dicts, as one block whose every CSV
+    column is a list (a key a row lacks is an empty cell)."""
     fh.write(_CSV_HEADER)
-    for run in _runs(records):
-        (texts,) = _run_texts(run, _CSV_TEXT)
-        fh.write(_csv_rows(run, texts))
+    columns = {key: [row.get(key, "") for row in records] for key in _CSV_ALL_COLUMNS}
+    for (text,) in _chunks([({}, columns)], _CSV):
+        fh.write(text)
 
 
 def write_report(report: dict, out_dir: str):
     """Write ``report.json`` and ``records.csv`` into ``out_dir``.
 
-    The bytes of ``report.json`` are those of
-    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, and
-    those of ``records.csv`` are what ``csv.writer`` prints for the
-    ``_fmt`` of every cell.  Both files are written together, one run of
-    records at a time: rows with the same keys in the same order and the
-    same exact value types (``_runs``).  In each column of a run every
-    distinct value is formatted once; a column with one value in the run is
-    written into the run's template, ``%``-escaped, and each row is one
-    ``%`` of that template with the columns that vary.  That is exact because equal values of one exact type
-    print alike, except -0.0 and 0.0, and NaN, which JSON spells apart
-    from ``repr``: a float column holding -0.0, NaN or an infinity, and a
-    column of any type but float, str and bool, is formatted cell by cell.
-    Runs are cut on exact types because ``True == 1 == 1.0``.
+    The bytes are those of the rows that the blocks of ``report["records"]``
+    (``_chunks``) expand to: ``report.json`` is ``json.dumps(report,
+    sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
+    ``csv.writer`` prints for the ``_fmt`` of every cell.  A block is one
+    row template, its one-text columns written in ``%``-escaped, and each
+    row is one ``%`` of it.  A column formats each distinct value once.
+    That is exact because equal values of one exact type print alike and
+    no str equals a number, except in the columns formatted cell by cell:
+    a float column holding -0.0 (equal to 0.0), NaN or an infinity (JSON
+    spells both apart from ``repr``), and a column with numbers of two
+    types (``True == 1 == 1.0``) or of a type other than float and bool.
     """
     os.makedirs(out_dir, exist_ok=True)
     with (
@@ -577,16 +572,15 @@ def write_report(report: dict, out_dir: str):
         fh.write("{")
         for i, key in enumerate(sorted(report)):
             fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
-            value = report[key]
-            if key == "records" and value:
-                fh.write("[")
-                for j, run in enumerate(_runs(value)):
-                    json_texts, csv_texts = _run_texts(run, _JSON_TEXT, _CSV_TEXT)
-                    fh.write(("," if j else "") + _json_rows(run, json_texts))
-                    fc.write(_csv_rows(run, csv_texts))
-                fh.write("\n  ]")
-            else:
-                fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+            if key != "records":
+                fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+                continue
+            lead = "["
+            for json_rows, csv_rows in _chunks(report[key], _JSON, _CSV):
+                fh.write(lead + json_rows)
+                fc.write(csv_rows)
+                lead = ","
+            fh.write("[]" if lead == "[" else "\n  ]")
         fh.write("\n}\n")
 
 

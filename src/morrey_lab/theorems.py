@@ -105,22 +105,24 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     become Python ``(int, float)`` tuples.
     """
     diam = space.diameter
-    cap = diam if diam > 0.0 else 1.0
-    centers, radii = [], []
-    for a in range(space.n):
-        if diam == 0.0:
-            r = np.array([1.0])
-        else:
-            bps = np.unique(space.dist[a])
-            r = np.unique(np.minimum(np.concatenate([bps * 0.5, bps, bps * 1.5]), cap))
-        r = r[r > 0.0]
-        centers.append(np.full(r.size, a))
-        radii.append(r)
-    centers, radii = np.concatenate(centers), np.concatenate(radii)
-    if centers.size > limit:
-        keep = sample_indices(centers.size, limit, seed)
-        centers, radii = centers[keep], radii[keep]
-    return list(zip(centers.tolist(), radii.tolist()))
+    if diam == 0.0:
+        radii = np.ones((space.n, 1))
+    else:
+        sd = space.sorted_dist
+        radii = np.concatenate([sd * 0.5, sd, np.minimum(sd * 1.5, diam)], axis=1)  # only 1.5 d can pass the cap
+        radii.sort(axis=1)
+    keep = radii > 0.0  # and the first of equal radii in a row
+    keep[:, 1:] &= radii[:, 1:] != radii[:, :-1]
+    counts = np.count_nonzero(keep, axis=1)
+    if counts.sum() <= limit:
+        centers, cols = np.nonzero(keep)
+    else:  # a sampled flat index is (center, rank among the center's radii)
+        flat = np.array(sample_indices(int(counts.sum()), limit, seed))
+        ends = np.cumsum(counts)
+        centers = np.searchsorted(ends, flat, side="right")
+        ranks = flat - (ends - counts)[centers]
+        cols = np.count_nonzero(np.cumsum(keep[centers], axis=1) <= ranks[:, None], axis=1)
+    return list(zip(centers.tolist(), radii[centers, cols].tolist()))
 
 
 def _ball_sides(space, values, balls, gammas, p):

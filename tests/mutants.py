@@ -125,11 +125,11 @@ MUTANTS = (
     Mutant(
         "report-row-boundary",
         "cli.py",
-        'template = "\\n    {\\n      " + fields',
-        'template = "{\\n      " + fields',
+        '_JSON = (_JSON_TEXT, _json_template, ",")',
+        '_JSON = (_JSON_TEXT, _json_template, "")',
         (
             "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
-            "tests/test_cli.py::TestWriteReport::test_random_reports",
+            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
         ),
     ),
     Mutant(
@@ -145,19 +145,23 @@ MUTANTS = (
     Mutant(
         "report-negative-zero-shares-text",
         "cli.py",
-        "kind is float and 0.0 in distinct and any(",
-        "False and any(",
+        "elif float in kinds and 0.0 in distinct and (",
+        "elif False and (",
         ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
     ),
     Mutant(
-        "report-run-key-without-types",
+        "report-non-finite-shares-text",
         "cli.py",
-        "key = (tuple(row), tuple(map(type, row.values())))",
-        "key = (tuple(row),)",
-        (
-            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
-            "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
-        ),
+        "not all(math.isfinite(v) for v in distinct if type(v) is float)",
+        "False",
+        ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
+    ),
+    Mutant(
+        "report-mixed-types-share-text",
+        "cli.py",
+        "and len(kinds - {str}) <= 1:",
+        "and True:",
+        ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
     ),
     Mutant(
         "config-int-truncates",
@@ -199,6 +203,13 @@ MUTANTS = (
         "mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)",
         "mf, l1 = v.of(maximal, 1.0), v.of(lq_norm, 1.0)",
         ("tests/test_theorems.py::TestHubAndSpoke::test_weak_l1_constant_is_one",),
+    ),
+    Mutant(
+        "balls-rank-off-by-one",
+        "theorems.py",
+        "np.cumsum(keep[centers], axis=1) <= ranks[:, None]",
+        "np.cumsum(keep[centers], axis=1) < ranks[:, None]",
+        ("tests/test_theorems.py::TestEnumeration::test_matches_per_center_loop",),
     ),
     Mutant(
         "ball-indicator-open-ball",

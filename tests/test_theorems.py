@@ -8,7 +8,7 @@ import pytest
 from morrey_lab import theorems
 from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentSet, level_masses, lq_norm, morrey_norm
-from morrey_lab.generators import SpaceSpec, generate_function, generate_space
+from morrey_lab.generators import SPACE_FAMILIES, SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import sample_indices
 from morrey_lab.space import MetricMeasureSpace
@@ -93,6 +93,43 @@ class TestEnumeration:
         for sp in spaces:
             for limit in (64, 10**9):
                 assert enumerate_balls(sp, limit, seed=2) == reference(sp, limit, seed=2)
+
+    def test_matches_per_center_loop(self):
+        """The table of every center's candidate radii, sorted and
+        deduplicated by row, gives the list of the per-center ``np.unique``
+        loop, which is kept here as the reference, bit for bit."""
+
+        def reference(space, limit, seed):
+            diam = space.diameter
+            cap = diam if diam > 0.0 else 1.0
+            centers, radii = [], []
+            for a in range(space.n):
+                if diam == 0.0:
+                    r = np.array([1.0])
+                else:
+                    bps = np.unique(space.dist[a])
+                    r = np.unique(np.minimum(np.concatenate([bps * 0.5, bps, bps * 1.5]), cap))
+                r = r[r > 0.0]
+                centers.append(np.full(r.size, a))
+                radii.append(r)
+            centers, radii = np.concatenate(centers), np.concatenate(radii)
+            if centers.size > limit:
+                keep = sample_indices(centers.size, limit, seed)
+                centers, radii = centers[keep], radii[keep]
+            return list(zip(centers.tolist(), radii.tolist()))
+
+        spaces = [
+            *(generate_space(SpaceSpec(family, n=n, dim=2, beta=1.5)) for family in SPACE_FAMILIES[:3] for n in (1, 3, 5)),
+            *(generate_space(SpaceSpec("ultrametric-tree", depth=depth)) for depth in (0, 2, 4)),
+            *(generate_space(SpaceSpec("random-points", n=n, dim=2, seed=s)) for n in (1, 7, 40, 256) for s in (0, 7)),
+            generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
+            MetricMeasureSpace(np.zeros((3, 3)), np.ones(3)),  # zero diameter
+            random_space(5, n=12),
+        ]
+        for sp in spaces:
+            for limit in (1, 8, 64, 10**9):
+                for seed in (0, 7, 20260823):
+                    assert enumerate_balls(sp, limit, seed) == reference(sp, limit, seed)
 
     def test_pairs_are_python_scalars(self):
         """A numpy scalar would break json.dump or change the params bytes."""
@@ -340,6 +377,50 @@ class TestHubAndSpoke:
         reps = check_weak_L1(space, f, gammas)
         assert [rep.rhs_without_constant for rep in reps] == (1.0 / gammas).tolist()
         assert abs(max(rep.empirical_constant for rep in reps) - 1.0) <= self.ULPS
+
+
+    @staticmethod
+    def brute_force(space, f, balls, gammas, p, k):
+        """The largest T1 and weakL1 constants with M_k in place of M_2, every
+        value from its definition: open balls, each sup over radii taken at
+        the right limits ``nextafter(d, inf)``, each level set by a loop."""
+        n, mass = space.n, space.mass.tolist()
+
+        def inside(x, r):
+            return [y for y in range(n) if space.dist[x, y] < r]
+
+        def mu(x, r):
+            return sum(mass[y] for y in inside(x, r))
+
+        def integral(x, r):
+            return sum(abs(f[y]) * mass[y] for y in inside(x, r))
+
+        limits = [[float(np.nextafter(d, math.inf)) for d in set(space.dist[x].tolist())] for x in range(n)]
+        mk = [max(integral(x, r) / mu(x, k * r) for r in limits[x]) for x in range(n)]
+        norm = max(mu(x, 2.0 * r) ** (1.0 / p - 1.0) * integral(x, r) for x in range(n) for r in limits[x])
+        t1 = max(
+            g * sum(mass[y] for y in inside(a, r) if mk[y] > g) / (norm * mu(a, 6.0 * r) ** (1.0 - 1.0 / p))
+            for a, r in balls
+            for g in gammas
+        )
+        weak_l1 = max(g * sum(mass[y] for y in range(n) if mk[y] > g) for g in gammas) / sum(
+            abs(f[y]) * mass[y] for y in range(n)
+        )
+        return t1, weak_l1
+
+    @pytest.mark.parametrize("N", [8, 32, 128])
+    def test_unmodified_maximal_by_brute_force(self, N):
+        """M_1 f is 1 at the hub and 2/3 at a leaf, so just below 2/3 the level
+        set is all of X, of measure 1 + N/2: the weakL1 ratio is (N + 2)/3,
+        3.33, 11.3 and 43.3, and T1's sup is sqrt(2 (N + 2))/3, past the checked
+        4 at N = 128.  M_2 f is 1/(1 + N/2) at a leaf, and both ratios stay 1."""
+        space, f, balls, gammas = self.instance(N)
+        t1, weak_l1 = self.brute_force(space, f, balls, gammas, 2.0, 1.0)
+        assert t1 == pytest.approx(math.sqrt(2.0 * (N + 2)) / 3.0, rel=1e-12)
+        assert weak_l1 == pytest.approx((N + 2) / 3.0, rel=1e-12)
+        assert (t1 > 4.0) == (N == 128)
+        for ratio in self.brute_force(space, f, balls, gammas, 2.0, 2.0):
+            assert abs(ratio - 1.0) <= self.ULPS
 
 
 class TestScalingInvariance:
