@@ -11,10 +11,12 @@ significant digits, and logging goes to stderr only.
 
 ``run`` keeps each check call's table (see ``theorems``) as one record
 block: the values its rows share and the lists of those that vary.  The
-verdict is counted per table.  ``write_report`` formats a block's shared
-values once and each varying column's distinct values once, where that
-gives the bytes of ``json.dumps(indent=2)`` and of ``csv.writer``; most
-rows are per-(ball, level) samples that repeat a handful of values.
+verdict is counted per table.  ``write_report`` formats each distinct
+value of a block once, where that gives the bytes of
+``json.dumps(indent=2)`` and of ``csv.writer``, and joins its rows from
+the block's fixed texts, which hold every shared value, and the texts of
+its varying columns; most rows are per-(ball, level) samples that repeat
+a handful of values.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -466,7 +468,7 @@ def _csv_field(text: str) -> str:
 # None: any value, formatted one cell at a time.
 _JSON_TEXT = {float: float.__repr__, str: encode_basestring_ascii, bool: _fmt, None: json.dumps}
 _CSV_TEXT = {float: "%.17g".__mod__, str: _csv_field, bool: _fmt, None: lambda v: _csv_field(_fmt(v))}
-_NEGATIVE_ZERO = array("d", [-0.0]).tobytes()
+_NEGATIVE_ZERO = -(2**63)  # the bits of -0.0, read as an int64
 
 
 def _column_texts(column: list, formats: list) -> list:
@@ -479,8 +481,10 @@ def _column_texts(column: list, formats: list) -> list:
         distinct = dict.fromkeys(column)
         if float in kinds and not all(math.isfinite(v) for v in distinct if type(v) is float):
             distinct = None
-        elif float in kinds and 0.0 in distinct and (str in kinds or _NEGATIVE_ZERO in array("d", column).tobytes()):
-            distinct = None  # the bytes may also match across two cells, which costs only speed
+        elif float in kinds and 0.0 in distinct and (
+            str in kinds or _NEGATIVE_ZERO in array("q", array("d", column).tobytes())
+        ):
+            distinct = None
     if distinct is None and len(column) > 1:
         return [list(map(fmt[None], column)) for fmt in formats]
     if distinct is None or len(distinct) == 1:
@@ -488,28 +492,30 @@ def _column_texts(column: list, formats: list) -> list:
     return [list(map({v: fmt[type(v)](v) for v in distinct}.__getitem__, column)) for fmt in formats]
 
 
-def _slot(texts) -> str:
-    """A column's slot in a block's row template: its one text,
-    ``%``-escaped, or ``%s`` for a column whose texts vary."""
-    return texts.replace("%", "%%") if isinstance(texts, str) else "%s"
+def _row(start: str, fields: list, sep: str, end: str) -> list:
+    """A row as its fixed texts and its varying columns, alternately:
+    ``start``, each field's label and texts with ``sep`` between, ``end``."""
+    row = [start]
+    for i, (label, texts) in enumerate(fields):
+        fixed = row.pop() + (sep if i else "") + label
+        row += [fixed + texts] if isinstance(texts, str) else [fixed, texts, ""]
+    row[-1] += end
+    return row
 
 
-def _json_template(texts: dict):
-    """A row as ``json.dumps(indent=2)`` prints records two levels deep, and
-    the columns in its slots; records are flat and keyed by strings."""
-    keys = sorted(texts)
-    fields = ",\n      ".join(encode_basestring_ascii(k).replace("%", "%%") + ": " + _slot(texts[k]) for k in keys)
-    return "\n    {\n      " + fields + "\n    }", [texts[k] for k in keys]
+def _json_row(texts: dict) -> list:
+    """A row as ``json.dumps(indent=2)`` prints records two levels deep,
+    led by its separator; records are flat and keyed by strings."""
+    fields = [(encode_basestring_ascii(key) + ": ", texts[key]) for key in sorted(texts)]
+    return _row(",\n    {\n      ", fields, ",\n      ", "\n    }") if fields else [",\n    {}"]
 
 
-def _csv_template(texts: dict):
-    row = ",".join(_slot(texts[c]) if c in texts else "" for c in _CSV_ALL_COLUMNS) + "\n"
-    return row, [texts[c] for c in _CSV_ALL_COLUMNS if c in texts]
+def _csv_row(texts: dict) -> list:
+    return _row("", [("", texts.get(column, "")) for column in _CSV_ALL_COLUMNS], ",", "\n")
 
 
-# (value texts, row template, row separator) of each file
-_JSON = (_JSON_TEXT, _json_template, ",")
-_CSV = (_CSV_TEXT, _csv_template, "")
+_JSON = (_JSON_TEXT, _json_row)  # (value texts, row) of each file
+_CSV = (_CSV_TEXT, _csv_row)
 
 
 def _block_texts(shared: dict, columns: dict, formats: list) -> list:
@@ -525,18 +531,21 @@ def _chunks(blocks, *formats):
     """The rows of ``blocks`` in each of ``formats``, joined ``_WRITE_ROWS``
     rows at a time.  A block is ``(shared, columns)``: the values that all
     its rows share, by key, and equally long lists of the others; a block
-    without columns is one row."""
+    without columns is one row.  A chunk of ``m`` rows is the row ``m``
+    times, each varying column's texts put into its slots by one slice
+    assignment, and one join."""
     for shared, columns in blocks:
         n = len(next(iter(columns.values()))) if columns else 1
-        if not n:
-            continue
-        rows = []
-        for (_, template_of, _), texts in zip(formats, _block_texts(shared, columns, [f[0] for f in formats])):
-            template, slots = template_of(texts)
-            varying = [s for s in slots if not isinstance(s, str)]
-            rows.append(map(template.__mod__, zip(*varying)) if varying else itertools.repeat(template % (), n))
-        for _ in range(0, n, _WRITE_ROWS):
-            yield [sep.join(itertools.islice(r, _WRITE_ROWS)) for r, (_, _, sep) in zip(rows, formats)]
+        texts = _block_texts(shared, columns, [value_texts for value_texts, _ in formats])
+        rows = [row_of(t) for (_, row_of), t in zip(formats, texts)]
+        for i in range(0, n, _WRITE_ROWS):
+            chunks = []
+            for row in rows:
+                chunk = row * min(_WRITE_ROWS, n - i)
+                for j in range(1, len(row), 2):
+                    chunk[j :: len(row)] = row[j][i : i + _WRITE_ROWS]
+                chunks.append("".join(chunk))
+            yield chunks
 
 
 def write_csv(records, fh):
@@ -554,9 +563,9 @@ def write_report(report: dict, out_dir: str):
     The bytes are those of the rows that the blocks of ``report["records"]``
     (``_chunks``) expand to: ``report.json`` is ``json.dumps(report,
     sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
-    ``csv.writer`` prints for the ``_fmt`` of every cell.  A block is one
-    row template, its one-text columns written in ``%``-escaped, and each
-    row is one ``%`` of it.  A column formats each distinct value once.
+    ``csv.writer`` prints for the ``_fmt`` of every cell.  A block's rows
+    are its fixed texts, repeated, with each varying column's texts
+    between them.  A column formats each distinct value once.
     That is exact because equal values of one exact type print alike and
     no str equals a number, except in the columns formatted cell by cell:
     a float column holding -0.0 (equal to 0.0), NaN or an infinity (JSON
@@ -575,12 +584,12 @@ def write_report(report: dict, out_dir: str):
             if key != "records":
                 fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
                 continue
-            lead = "["
+            lead = "["  # in place of the first row's ","
             for json_rows, csv_rows in _chunks(report[key], _JSON, _CSV):
-                fh.write(lead + json_rows)
+                fh.write(lead + json_rows[1:] if lead else json_rows)
                 fc.write(csv_rows)
-                lead = ","
-            fh.write("[]" if lead == "[" else "\n  ]")
+                lead = ""
+            fh.write("[]" if lead else "\n  ]")
         fh.write("\n}\n")
 
 
@@ -600,16 +609,11 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _run_command(args, only=None) -> int:
+def _run_command(args) -> int:
     try:
         cfg = _load_config(args.config, args.seed)
-        if only is not None:
-            cfg = replace(
-                cfg,
-                checks=cfg.checks if "checks" in only else [],
-                estimates=cfg.estimates if "estimates" in only else [],
-                sweeps=cfg.sweeps if "sweeps" in only else [],
-            )
+        if args.command != "run":  # check, estimate or sweep: that config section alone
+            cfg = replace(cfg, **{key: [] for key in ("checks", "estimates", "sweeps") if key != args.command + "s"})
         log = None if args.quiet else sys.stderr
         report, code = run(cfg, base_dir=os.path.dirname(args.config) or ".", log=log)
     except ConfigError as exc:
@@ -624,6 +628,7 @@ def _run_command(args, only=None) -> int:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # the collection at exit need not walk what the imports built
     ap = argparse.ArgumentParser(prog="morrey-lab", description=__doc__)
     ap.add_argument("--quiet", action="store_true", help="suppress stderr logging")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -688,13 +693,7 @@ def main(argv=None) -> int:
         write_csv(report["records"], sys.stdout)
         return 0
 
-    only = {
-        "run": None,
-        "check": {"checks"},
-        "estimate": {"estimates"},
-        "sweep": {"sweeps"},
-    }[args.command]
-    return _run_command(args, only)
+    return _run_command(args)
 
 
 if __name__ == "__main__":

@@ -125,20 +125,10 @@ MUTANTS = (
     Mutant(
         "report-row-boundary",
         "cli.py",
-        '_JSON = (_JSON_TEXT, _json_template, ",")',
-        '_JSON = (_JSON_TEXT, _json_template, "")',
+        'return _row(",\\n    {\\n      ", fields,',
+        'return _row("\\n    {\\n      ", fields,',
         (
             "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
-            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
-        ),
-    ),
-    Mutant(
-        "report-constant-text-unescaped",
-        "cli.py",
-        'return texts.replace("%", "%%") if isinstance(texts, str) else "%s"',
-        'return texts if isinstance(texts, str) else "%s"',
-        (
-            "tests/test_cli.py::TestWriteReport::test_percent_in_constant_columns",
             "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
         ),
     ),
@@ -148,6 +138,23 @@ MUTANTS = (
         "elif float in kinds and 0.0 in distinct and (",
         "elif False and (",
         ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
+    ),
+    Mutant(
+        "report-unaligned-negative-zero-screen",
+        "cli.py",
+        '_NEGATIVE_ZERO in array("q", array("d", column).tobytes())',
+        'array("d", [-0.0]).tobytes() in array("d", column).tobytes()',
+        ("tests/test_cli.py::TestWriteReport::test_negative_zero_screen_reads_whole_cells",),
+    ),
+    Mutant(
+        "report-last-fixed-text-dropped",
+        "cli.py",
+        "row[-1] += end",
+        "row[-1] = end",
+        (
+            "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
+            "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
+        ),
     ),
     Mutant(
         "report-non-finite-shares-text",

@@ -9,6 +9,8 @@ ultrametric tree of depth 5; 20 seeded functions per space; p in
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -338,3 +340,19 @@ def test_criterion_9_end_to_end_determinism(tmp_path, capsys):
     assert not any("error" in r for r in records)
     with capsys.disabled():
         print("\nACCEPTANCE 9 (end-to-end determinism): PASS")
+
+
+def test_corpus_run_as_a_program(tmp_path):
+    """``python -m morrey_lab.cli`` in a fresh interpreter, as users and the
+    benchmark run it: the ``__main__`` path, the exit code, silence under
+    ``--quiet`` and the pinned bytes, through interpreter shutdown."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs", "corpus.json")
+    argv = [sys.executable, "-m", "morrey_lab.cli", "--quiet", "run", cfg, "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    pinned_version, pinned = CORPUS_PINNED
+    assert pinned_version == __version__
+    for name in ("report.json", "records.csv"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name], name

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -582,7 +584,7 @@ FLAT_ROWS = st.lists(
 
 # Cell values by kind: the values a table of distinct values could confuse
 # (-0.0 == 0.0, NaN, True == 1 == 1.0, a float subclass) and strings the CSV
-# must quote, the JSON must escape or a row template must not read as a format.
+# must quote, the JSON must escape or a writer must not read as a format.
 CELLS = {
     "float": st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300, 2.5e17, float("nan"), float("inf"), float("-inf")])
     | st.floats(),
@@ -665,8 +667,8 @@ class TestWriteReport:
             assert_oracle_bytes(report, out)
 
     def test_percent_in_constant_columns(self, tmp_path, monkeypatch):
-        """A value shared by a block's rows is written into its row template,
-        so a ``%`` in its text must not read as a format."""
+        """A value shared by a block's rows is written into its fixed texts,
+        where a ``%`` is plain text."""
         original = cli.evaluate
 
         def odd(space, f, check, *args):
@@ -687,7 +689,7 @@ class TestWriteReport:
     @pytest.mark.parametrize("edge", [cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
     def test_column_constant_in_one_run_varying_in_the_next(self, tmp_path, edge):
         """Blocks of ``_WRITE_ROWS`` rows, every key a column: a column of one
-        value in one block is one text in its template, and varies in the
+        value in one block is part of its fixed texts, and varies in the
         next, on either side of the block edge."""
         report, _ = cli.run(parse_config(BASE_CONFIG))
         t1 = [r for r in expand(report["records"]) if r["check_id"] == "T1"]
@@ -731,15 +733,41 @@ class TestWriteReport:
     @example(blocks=[({}, {"lhs": [0.0, -0.0, 0.0]})], batch=256)
     @example(blocks=[({"%": "100%"}, {"x": [True, 1, 1.0, 1, True]})], batch=256)
     @example(blocks=[({}, {"x": [1.0, True, 0.0, False, "", 1.0]})], batch=256)
+    @example(blocks=[({}, {"x": [1.0, True, 1.0]})], batch=256)  # True == 1.0, but prints apart
     @example(blocks=[({}, {"x": [1.0, float("nan"), float("inf"), np.float64(-0.0)]})], batch=256)
     @example(blocks=[({}, {"x": [1.0, float("-inf"), 1.0]}), ({"x": 1.0}, {"y": []})], batch=256)
+    # A varying column first and last in each file's order (alpha and
+    # theory_constant in JSON, check_id and error in CSV), varying columns
+    # next to each other, and blocks whose every column is one text.
+    @example(blocks=[({"check_id": "T1", "lhs": 0.5}, {"alpha": [0.25, 0.5], "theory_constant": [4.0, 2.0]})], batch=1)
+    @example(blocks=[({"alpha": 0.25, "kappa": 2.0}, {"check_id": ["T1", "T3", "T1"], "error": ["e", 'b,"c"', "e"]})], batch=2)
+    @example(blocks=[({"check_id": "T1"}, {"lhs": [0.5, 1.0, 2.0], "rhs_without_constant": [1.0, 2.0, 0.5]})], batch=2)
+    @example(blocks=[({"check_id": "T1", "lhs": 0.5}, {}), ({"check_id": "T3"}, {"lhs": [1.0, 1.0, 1.0]})], batch=2)
+    @example(blocks=[({}, {}), ({"x": 1.0}, {})], batch=256)  # a record with no key prints as {}
     def test_block_shaped_rows(self, tmp_path_factory, blocks, batch):
         """Blocks with adversarial columns, written at every cap from 1 to 8
-        rows; a block of empty columns has no rows."""
+        rows; a block of empty columns has no rows.  A row is its fixed texts
+        with the varying columns' texts between them."""
         report = {"config": {}, "records": blocks, "verdict": {}}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_WRITE_ROWS", batch)
             assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
+
+    def test_negative_zero_screen_reads_whole_cells(self, tmp_path, monkeypatch):
+        """Only a cell that is -0.0 sends a float column cell by cell.  A 0.0
+        before a double whose lowest byte is 0x80 holds the bytes of -0.0 at
+        an unaligned offset; its column still formats each distinct value once."""
+        x = struct.unpack("<d", b"\x80" + struct.pack("<d", 1.0)[1:])[0]
+        assert array("d", [0.0, -0.0]).tobytes()[8:] in array("d", [0.0, x]).tobytes()
+        calls = []
+        for table in (cli._JSON_TEXT, cli._CSV_TEXT):
+            monkeypatch.setitem(table, None, lambda v, cell=table[None]: calls.append(v) or cell(v))
+        for name, column, cells in (("unaligned-match", [0.0, x, 0.0, x], []), ("negative", [0.0, x, -0.0], [0.0, x, -0.0] * 2)):
+            calls.clear()
+            report = {"records": [({"check_id": "T1"}, {"lhs": column})]}
+            (tmp_path / name).mkdir()
+            assert_oracle_bytes(report, tmp_path / name)
+            assert sorted(map(repr, calls)) == sorted(map(repr, cells)), name
 
     def test_report_command_rerenders_corpus_csv(self, corpus_report, tmp_path, capsys):
         write_report(corpus_report, str(tmp_path))
