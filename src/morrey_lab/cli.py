@@ -10,13 +10,13 @@ shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
 
 ``run`` keeps each check call's table (see ``theorems``) as one record
-block: the values its rows share and the lists of those that vary.  The
-verdict is counted per table.  ``write_report`` formats each distinct
-value of a block once, where that gives the bytes of
-``json.dumps(indent=2)`` and of ``csv.writer``, and joins its rows from
-the block's fixed texts, which hold every shared value, and the texts of
-its varying columns; most rows are per-(ball, level) samples that repeat
-a handful of values.
+block: the values its rows share and its float64 arrays and pass flags.
+The verdict is counted per table.  ``write_report`` formats each distinct
+double of a run of blocks once, by its bits, and each shared value once,
+giving the bytes of ``json.dumps(indent=2)`` and of ``csv.writer``, and
+joins a block's rows from its fixed texts, which hold every shared value,
+and the texts of its varying columns; most rows are per-(ball, level)
+samples that repeat a handful of values.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import csv
 import hashlib
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -318,8 +319,9 @@ def load_function_file(path: str) -> np.ndarray:
 
 def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig, verdict: dict):
     """The record blocks of one (space, function) pair, one per check call:
-    ``(shared, columns)``, the values its rows share and the lists of those
-    that vary, straight from the call's table; ``verdict`` counts them."""
+    ``(shared, columns)``, the values its rows share and the columns of
+    those that vary, the call's float64 arrays and pass flags as they are;
+    ``verdict`` counts them."""
     blocks = []
     for check in cfg.checks:
         base = {**dict.fromkeys(CSV_COLUMNS, ""), "check_id": check, "space_id": space_id, "function_id": function_id}
@@ -335,9 +337,9 @@ def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig,
                 shared["theory_constant"] = t.theory_constant
                 verdict["pass"] += t.passed.count(True)
                 verdict["fail"] += t.passed.count(False)
-            lists = {"gamma": t.gamma, "lhs": t.lhs, "rhs_without_constant": t.rhs_without_constant,
+            table = {"gamma": t.gamma, "lhs": t.lhs, "rhs_without_constant": t.rhs_without_constant,
                      "empirical_constant": t.empirical_constant, "pass": t.passed}
-            columns = {key: column for key, column in lists.items() if column is not None}
+            columns = {key: column for key, column in table.items() if column is not None}
             blocks.append(({key: v for key, v in shared.items() if key not in columns}, columns))
     return blocks
 
@@ -451,6 +453,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
 
 
 _WRITE_ROWS = 256  # rows per write call, so no write holds a whole large block
+_RUN_CELLS = 1 << 12  # array cells whose doubles are pooled at a time, which bounds the pool's memory
 # "error" is not in CSV_COLUMNS: a JSON record has an "error" key only when it
 # could not be evaluated, which is how run() counts errors.
 _CSV_ALL_COLUMNS = [*CSV_COLUMNS, "error"]
@@ -469,6 +472,7 @@ def _csv_field(text: str) -> str:
 _JSON_TEXT = {float: float.__repr__, str: encode_basestring_ascii, bool: _fmt, None: json.dumps}
 _CSV_TEXT = {float: "%.17g".__mod__, str: _csv_field, bool: _fmt, None: lambda v: _csv_field(_fmt(v))}
 _NEGATIVE_ZERO = -(2**63)  # the bits of -0.0, read as an int64
+_SHARED = {str, float, bool, int, type(None)}  # hashable types whose equal values print alike
 
 
 def _column_texts(column: list, formats: list) -> list:
@@ -518,25 +522,57 @@ _JSON = (_JSON_TEXT, _json_row)  # (value texts, row) of each file
 _CSV = (_CSV_TEXT, _csv_row)
 
 
-def _block_texts(shared: dict, columns: dict, formats: list) -> list:
-    """Per format, ``{key: texts}`` of one block; a shared value is a column of one."""
-    texts = [{} for _ in formats]
-    for key, column in [*((k, [v]) for k, v in shared.items()), *columns.items()]:
-        for out, text in zip(texts, _column_texts(column, formats)):
-            out[key] = text
-    return texts
+def _array_texts(arrays: list, formats: list) -> list:
+    """Per array of the non-empty float64 ``arrays``, per format, its texts:
+    one ``str`` if its cells are one double, else a list.  The arrays are
+    pooled, and each distinct double, told apart by its bits, is formatted
+    once: a finite one by the format's float text, the others cell-exactly."""
+    values = np.concatenate(arrays)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    floats, starts = bits.view(np.float64).tolist(), np.cumsum([0, *map(len, arrays[:-1])])
+    one = (np.minimum.reduceat(inverse, starts) == np.maximum.reduceat(inverse, starts)).tolist()
+    texts = [[fmt[float](v) if math.isfinite(v) else fmt[None](v) for v in floats] for fmt in formats]
+    cells = [np.array(t, dtype=object)[inverse] for t in texts]
+    bounds = [*starts.tolist(), values.size]
+    return [[c[i] if o else c[i:j].tolist() for c in cells] for i, j, o in zip(bounds, bounds[1:], one)]
 
 
-def _chunks(blocks, *formats):
+def _block_texts(blocks: list, formats: list):
+    """Per block, per format, ``{key: texts}``.  The blocks are taken in runs
+    whose float64 array columns hold about ``_RUN_CELLS`` cells, and the
+    arrays of a run are pooled (``_array_texts``); a list column is
+    formatted alone (``_column_texts``); and a shared value, a column of
+    one, once per call for each exact type in ``_SHARED``, value and sign
+    (0.0 == -0.0), and a value of any other type each time."""
+    known, sizes = {}, ([c.size for c in cs.values() if isinstance(c, np.ndarray)] for _, cs in blocks)
+    for _, run in itertools.groupby(zip(itertools.accumulate(map(sum, sizes), initial=0), blocks),
+                                    lambda cells_block: cells_block[0] // _RUN_CELLS):
+        run = [block for _, block in run]
+        arrays = [c for _, cs in run for c in cs.values() if isinstance(c, np.ndarray) and c.size]
+        pooled = iter(_array_texts(arrays, formats) if arrays else [])
+        for shared, columns in run:
+            found = {}
+            for key, value in shared.items():
+                kind = type(value)
+                if kind in _SHARED:
+                    ident = (kind, value, math.copysign(1.0, value) if kind is float else 0)
+                    found[key] = known[ident] = known.get(ident) or _column_texts([value], formats)
+                else:
+                    found[key] = _column_texts([value], formats)
+            for key, c in columns.items():
+                found[key] = next(pooled) if isinstance(c, np.ndarray) and c.size else _column_texts(c, formats)
+            yield [dict(zip(found, texts)) for texts in zip(*found.values())] or [{} for _ in formats]
+
+
+def _chunks(blocks: list, *formats):
     """The rows of ``blocks`` in each of ``formats``, joined ``_WRITE_ROWS``
     rows at a time.  A block is ``(shared, columns)``: the values that all
-    its rows share, by key, and equally long lists of the others; a block
-    without columns is one row.  A chunk of ``m`` rows is the row ``m``
-    times, each varying column's texts put into its slots by one slice
-    assignment, and one join."""
-    for shared, columns in blocks:
+    its rows share, by key, and equally long columns of the others, each a
+    list or a float64 array; a block without columns is one row.  A chunk
+    of ``m`` rows is the row ``m`` times, each varying column's texts put
+    into its slots by one slice assignment, and one join."""
+    for (_, columns), texts in zip(blocks, _block_texts(blocks, [value_texts for value_texts, _ in formats])):
         n = len(next(iter(columns.values()))) if columns else 1
-        texts = _block_texts(shared, columns, [value_texts for value_texts, _ in formats])
         rows = [row_of(t) for (_, row_of), t in zip(formats, texts)]
         for i in range(0, n, _WRITE_ROWS):
             chunks = []
@@ -565,12 +601,15 @@ def write_report(report: dict, out_dir: str):
     sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
     ``csv.writer`` prints for the ``_fmt`` of every cell.  A block's rows
     are its fixed texts, repeated, with each varying column's texts
-    between them.  A column formats each distinct value once.
-    That is exact because equal values of one exact type print alike and
-    no str equals a number, except in the columns formatted cell by cell:
-    a float column holding -0.0 (equal to 0.0), NaN or an infinity (JSON
-    spells both apart from ``repr``), and a column with numbers of two
-    types (``True == 1 == 1.0``) or of a type other than float and bool.
+    between them.  Float64 array columns are formatted by bits: equal bits
+    are the same double, so each distinct one is formatted once per run of
+    blocks.  A shared value of a type in ``_SHARED`` is formatted once per
+    write for its exact type, value and sign, and a list column each
+    distinct value once.  That is exact because equal values of one exact
+    type print alike and no str equals a number, except in the list
+    columns formatted cell by cell: floats holding -0.0 (equal to 0.0), NaN
+    or an infinity (JSON spells both apart from ``repr``), and numbers of
+    two types (``True == 1 == 1.0``) or of a type other than float and bool.
     """
     os.makedirs(out_dir, exist_ok=True)
     with (

@@ -56,7 +56,7 @@ def make_objective(space: MetricMeasureSpace, check_id: str, exps: ExponentSet, 
     balls = enumerate_balls(space, limit=64, seed=seed) if check_id in BALL_CHECKS else []
 
     def objective(f: np.ndarray) -> float:
-        return max(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant, default=0.0)
+        return max(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant.tolist(), default=0.0)
 
     return objective
 
@@ -156,7 +156,7 @@ def kappa_sweep(instances, alpha: float, p: float, kappas) -> list[dict]:
     Report-only; kappa < 2 is the regime the theory does not cover.
     """
     return [
-        {"instance": idx, "n": space.n, "kappa": k, "ratio": _t2_table(space, f, p, alpha, k).lhs[0]}
+        {"instance": idx, "n": space.n, "kappa": k, "ratio": _t2_table(space, f, p, alpha, k).lhs.item()}
         for idx, (space, f) in enumerate(instances)
         for k in map(float, kappas)
     ]

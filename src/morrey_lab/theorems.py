@@ -9,10 +9,11 @@ report.  A checker takes f as an array or as a ``Values``, and checkers
 given the same ``Values`` compute each operator value and norm of f once.
 
 A check call computes one table: the check id, params and theory constant
-its rows share, and a Python value per row in ``gamma`` (None without
-levels), ``lhs``, ``rhs_without_constant``, ``empirical_constant`` and
-``passed`` (None without a theory constant).  ``evaluate`` returns tables;
-a ``CheckReport`` per row, from the ``check_*`` functions, is their library view.
+its rows share, a float64 array over the rows in ``gamma`` (None without
+levels), ``lhs``, ``rhs_without_constant`` and ``empirical_constant``, and
+a list of bools in ``passed`` (None without a theory constant).
+``evaluate`` returns tables; a ``CheckReport`` per row, from the
+``check_*`` functions, is their library view, with Python floats.
 """
 
 from __future__ import annotations
@@ -75,16 +76,17 @@ def _table(check_id, params, lhs, rhs, theory_constant=None, gamma=None) -> _Tab
     """The rows with sides ``lhs`` and ``rhs``, scalars or arrays of one shape
     read in C order, and the constants and flags of ``_constants``."""
     lhs, rhs = np.asarray(lhs, dtype=float).ravel(), np.asarray(rhs, dtype=float).ravel()
-    columns = [lhs, rhs, *_constants(lhs, rhs, theory_constant)]
-    return _Table(check_id, params, theory_constant, gamma, *(None if x is None else x.tolist() for x in columns))
+    const, passed = _constants(lhs, rhs, theory_constant)
+    return _Table(check_id, params, theory_constant, gamma, lhs, rhs, const, None if passed is None else passed.tolist())
 
 
 def _reports(t: _Table, balls=None) -> list[CheckReport]:
     """The library view of a table: a report per row, the row's ball (of ``balls``) and level in its params."""
     n = len(t.lhs)
     heads = [{}] * n if balls is None else [{"a": a, "r": r} for a, r in balls for _ in range(n // len(balls))]
-    levels = [{}] * n if t.gamma is None else [{"gamma": g} for g in t.gamma]
-    rows = zip(heads, levels, t.lhs, t.rhs_without_constant, t.empirical_constant, t.passed or [None] * n)
+    levels = [{}] * n if t.gamma is None else [{"gamma": g} for g in t.gamma.tolist()]
+    numbers = (t.lhs.tolist(), t.rhs_without_constant.tolist(), t.empirical_constant.tolist())
+    rows = zip(heads, levels, *numbers, t.passed or [None] * n)
     return [CheckReport(t.check_id, {**h, **t.params, **g}, *row, t.theory_constant, ok) for h, g, *row, ok in rows]
 
 
@@ -179,7 +181,7 @@ def _t1_table(space, f, balls, p, gammas) -> _Table:
     v = _values(space, f)
     mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)
     w, lhs, gammas = _ball_sides(space, mf, balls, gammas, p)
-    return _table("T1", {"p": p}, lhs, w * norm / gammas, 4.0, gammas.tolist() * len(balls))
+    return _table("T1", {"p": p}, lhs, w * norm / gammas, 4.0, np.tile(gammas, len(balls)))
 
 
 def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
@@ -212,7 +214,7 @@ def _t3_table(space, f, balls, exps, gammas) -> _Table:
     sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
     w, lhs, gammas = _ball_sides(space, pot, balls, gammas, exps.p)
     rhs = w * np.array([(norm / g) ** sp for g in gammas])
-    return _table("T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, lhs, rhs, gamma=gammas.tolist() * len(balls))
+    return _table("T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, lhs, rhs, gamma=np.tile(gammas, len(balls)))
 
 
 def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
@@ -251,7 +253,7 @@ def _weak_l1_table(space, f, gammas) -> _Table:
     v, gammas = _values(space, f), np.asarray(gammas, dtype=float)
     mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)
     lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
-    return _table("weakL1", {}, lhs, l1 / gammas, gamma=gammas.tolist())
+    return _table("weakL1", {}, lhs, l1 / gammas, gamma=gammas)
 
 
 def check_weak_L1(space, f, gammas) -> list[CheckReport]:

@@ -171,6 +171,47 @@ MUTANTS = (
         ("tests/test_cli.py::TestWriteReport::test_block_shaped_rows",),
     ),
     Mutant(
+        "pool-by-value",
+        "cli.py",
+        "np.unique(values.view(np.int64), return_inverse=True)",
+        "np.unique(values, return_inverse=True)",
+        (
+            "tests/test_cli.py::TestWriteReport::test_array_columns_pool_doubles_by_bits",
+            "tests/test_cli.py::TestWriteReport::test_array_blocks",
+        ),
+    ),
+    Mutant(
+        "pool-non-finite-repr",
+        "cli.py",
+        "fmt[float](v) if math.isfinite(v) else fmt[None](v)",
+        "fmt[float](v)",
+        (
+            "tests/test_cli.py::TestWriteReport::test_array_columns_pool_doubles_by_bits",
+            "tests/test_cli.py::TestWriteReport::test_array_blocks",
+        ),
+    ),
+    Mutant(
+        "pool-one-double-by-first-cell",
+        "cli.py",
+        "np.minimum.reduceat(inverse, starts) == np.maximum.reduceat(inverse, starts)",
+        "np.minimum.reduceat(inverse, starts) == inverse[starts]",
+        ("tests/test_cli.py::TestWriteReport::test_array_blocks",),
+    ),
+    Mutant(
+        "report-shared-zero-shares-text",
+        "cli.py",
+        "ident = (kind, value, math.copysign(1.0, value) if kind is float else 0)",
+        "ident = (kind, value, 0)",
+        ("tests/test_cli.py::TestWriteReport::test_shared_values_keep_type_and_sign",),
+    ),
+    Mutant(
+        "report-shared-types-share-text",
+        "cli.py",
+        "ident = (kind, value, math.copysign(1.0, value) if kind is float else 0)",
+        "ident = (value, math.copysign(1.0, value) if kind is float else 0)",
+        ("tests/test_cli.py::TestWriteReport::test_shared_values_keep_type_and_sign",),
+    ),
+    Mutant(
         "config-int-truncates",
         "cli.py",
         "_JSON_TYPES = {int: (int,),",
@@ -209,7 +250,10 @@ MUTANTS = (
         "theorems.py",
         "mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)",
         "mf, l1 = v.of(maximal, 1.0), v.of(lq_norm, 1.0)",
-        ("tests/test_theorems.py::TestHubAndSpoke::test_weak_l1_constant_is_one",),
+        (
+            "tests/test_theorems.py::TestHubAndSpoke::test_weak_l1_constant_is_one",
+            "tests/test_theorems.py::TestSharpConstant::test_corpus_suprema_at_most_one",
+        ),
     ),
     Mutant(
         "balls-rank-off-by-one",

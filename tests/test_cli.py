@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import struct
 from array import array
@@ -473,6 +474,29 @@ class TestRun:
         rendered = capsys.readouterr().out
         assert rendered == (out / "records.csv").read_text()
 
+    def test_estimates_and_sweeps_hold_python_floats(self):
+        """The tables' float64 arrays stay in the record blocks: what the
+        estimates and sweeps hold is made of Python scalars."""
+        checks = [
+            *({"estimate": {"check": check, "space": "g4", "restarts": 1, "max_iters": 4}} for check in CHECK_IDS),
+            {"sweep": {"alpha": 0.25, "p": 2.0}},
+        ]
+        report, code = cli.run(parse_config(dict(BASE_CONFIG, checks=checks)))
+        assert code == 0
+
+        def leaves(value):
+            if isinstance(value, (dict, list)):
+                for item in value.values() if isinstance(value, dict) else value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for section in ("estimates", "sweeps"):
+            values = list(leaves(report[section]))
+            assert values and all(type(v) in (str, int, float) for v in values), section
+        assert all(type(e["best_ratio"]) is float for e in report["estimates"])
+        assert all(type(row["ratio"]) is float for sweep in report["sweeps"] for row in sweep["table"])
+
     def test_estimate_and_sweep_subcommands(self, tmp_path):
         checks = [
             {"estimate": {"check": "T6", "space": "g4", "restarts": 2, "max_iters": 24}},
@@ -618,6 +642,33 @@ def block_rows(draw):
     return blocks
 
 
+# Doubles that a pool by value would merge (-0.0 == 0.0), that JSON spells
+# apart from repr (NaN of either sign or another payload, the infinities), the
+# least subnormals, and doubles whose repr and %.17g differ.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+DOUBLES = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1 / 3, 2.5e17]
+
+
+@st.composite
+def array_blocks(draw):
+    """Record blocks over one key order whose columns are float64 arrays of
+    ``DOUBLES`` and other doubles; a key is shared by a block's rows about
+    one time in four, with a value of one of the number kinds."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        length = draw(st.integers(0, 10))
+        shared, columns = {}, {}
+        for key in keys:
+            if draw(st.integers(0, 3)) == 0:
+                shared[key] = draw(CELLS["float"] | CELLS["int"] | CELLS["bool"])
+            else:
+                cells = st.lists(st.sampled_from(DOUBLES) | st.floats(), min_size=length, max_size=length)
+                columns[key] = np.array(draw(cells), dtype=float)
+        blocks.append((shared, columns))
+    return blocks
+
+
 class TestWriteReport:
     """report.json and records.csv are written a record block at a time;
     their bytes must stay those of ``json.dumps(report, sort_keys=True,
@@ -650,16 +701,19 @@ class TestWriteReport:
         "count", [0, 1, cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1, 2 * cli._WRITE_ROWS]
     )
     def test_rows_at_batch_edges(self, tmp_path, count):
-        """A block is written ``_WRITE_ROWS`` rows at a time, and a column of
-        mixed types (an int gamma among floats) is formatted cell by cell, at
-        either edge of a write."""
+        """A block is written ``_WRITE_ROWS`` rows at a time, its float64
+        array columns pooled by bits, and a list column of mixed types (an
+        int gamma among floats) is formatted cell by cell, at either edge of
+        a write."""
         report, _ = cli.run(parse_config(BASE_CONFIG))
         t1 = [block for block in report["records"] if block[0]["check_id"] == "T1"]
         assert len({(tuple(r), tuple(map(type, r.values()))) for r in expand(t1)}) == 1
         shared, columns = t1[0]
         for other in (None, 0, cli._WRITE_ROWS - 1, cli._WRITE_ROWS):
             block = {key: [column[i % len(column)] for i in range(count)] for key, column in columns.items()}
+            block.update((key, np.array(block[key], dtype=float)) for key in block if key != "pass")
             if other is not None and other < count:
+                block["gamma"] = block["gamma"].tolist()
                 block["gamma"][other] = 1
             report["records"] = [(shared, block)]
             out = tmp_path / f"other{other}"
@@ -681,8 +735,7 @@ class TestWriteReport:
         report, code = cli.run(parse_config(dict(BASE_CONFIG, spaces=spaces, checks=["T1", "T6", "T7"])))
         assert code == 3 and report["verdict"]["errors"] == 2
         assert_oracle_bytes(report, tmp_path)
-        for shared, columns in report["records"]:
-            json_texts, csv_texts = cli._block_texts(shared, columns, [cli._JSON_TEXT, cli._CSV_TEXT])
+        for json_texts, csv_texts in cli._block_texts(report["records"], [cli._JSON_TEXT, cli._CSV_TEXT]):
             assert json_texts["space_id"] == '"50%"' and csv_texts["space_id"] == "50%"
         assert isinstance(json_texts["error"], str) and "100% of %s" in json_texts["error"]
 
@@ -694,13 +747,19 @@ class TestWriteReport:
         report, _ = cli.run(parse_config(BASE_CONFIG))
         t1 = [r for r in expand(report["records"]) if r["check_id"] == "T1"]
         size = cli._WRITE_ROWS
+        arrays = [key for key, column in report["records"][0][1].items() if isinstance(column, np.ndarray)]
+        assert set(arrays) == {"gamma", "lhs", "rhs_without_constant", "empirical_constant"}
+
+        def column(key, rows):  # as the run keeps it: a float64 array or a list
+            return np.array([r[key] for r in rows]) if key in arrays else [r[key] for r in rows]
+
         for name, varies in (("forward", lambda i: i >= edge), ("backward", lambda i: i < edge)):
             rows = [
                 dict(t1[i % len(t1)], function_id=f"f{i}%", lhs=i / 7) if varies(i) else dict(t1[0], function_id="f%s")
                 for i in range(2 * size)
             ]
-            blocks = [({}, {key: [r[key] for r in rows[k * size : (k + 1) * size]] for key in rows[0]}) for k in range(2)]
-            texts = [cli._block_texts(*block, [cli._CSV_TEXT])[0] for block in blocks]
+            blocks = [({}, {key: column(key, rows[k * size : (k + 1) * size]) for key in rows[0]}) for k in range(2)]
+            texts = [t for (t,) in cli._block_texts(blocks, [cli._CSV_TEXT])]
             one_text = [not any(map(varies, range(k * size, (k + 1) * size))) for k in range(2)]
             assert [isinstance(t["function_id"], str) for t in texts] == one_text
             assert [isinstance(t["lhs"], str) for t in texts] == one_text
@@ -750,6 +809,48 @@ class TestWriteReport:
         with the varying columns' texts between them."""
         report = {"config": {}, "records": blocks, "verdict": {}}
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_WRITE_ROWS", batch)
+            assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
+
+    def test_array_columns_pool_doubles_by_bits(self, tmp_path, monkeypatch):
+        """Float64 array columns holding -0.0 beside 0.0, NaNs, both
+        infinities and the least subnormals, pooled in runs of 8 cells, with
+        0.1 and -0.0 in both runs: the bytes are the oracles', and each
+        distinct double of a run is formatted once per file, by the float
+        text if it is finite and by the cell text if not."""
+        monkeypatch.setattr(cli, "_RUN_CELLS", 8)
+        first = {"lhs": np.array([0.0, -0.0, 0.1, 0.0]), "gamma": np.array([math.nan, -math.nan, NAN_PAYLOAD, math.inf])}
+        second = {"lhs": np.array([-math.inf, 5e-324, -5e-324, 0.1, -0.0]), "pass": [True, False, True, True, False]}
+        blocks = [({"check_id": "T1"}, first), ({"check_id": "T3"}, second), ({"check_id": "T6"}, {"lhs": np.array([])})]
+        calls = {float: [], None: []}
+        for table in (cli._JSON_TEXT, cli._CSV_TEXT):
+            for kind in calls:
+                monkeypatch.setitem(table, kind, lambda v, kind=kind, text=table[kind]: calls[kind].append(v) or text(v))
+        assert_oracle_bytes({"records": blocks}, tmp_path)
+        assert (len(calls[float]), len(calls[None])) == (2 * (3 + 4), 2 * (4 + 1))  # runs: block 1; blocks 2-3
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [r["lhs"] for r in report["records"][:4]] == [0.0, -0.0, 0.1, 0.0]
+        assert [math.copysign(1.0, r["lhs"]) for r in report["records"][:4]] == [1.0, -1.0, 1.0, 1.0]
+
+    def test_shared_values_keep_type_and_sign(self, tmp_path):
+        """A shared value is formatted once per write for each exact type
+        and value, and a float zero never takes the text of its sign twin."""
+        values = [0.0, -0.0, 0, False, 0.0, -0.0, 1, True, 1.0, math.nan, -math.inf, "0.0", None, -0.0, np.float64(-0.0), np.float64(0.0)]
+        blocks = [({"check_id": "T2", "kappa": v}, {"lhs": np.array([v if type(v) is float else 1.0])}) for v in values]
+        assert_oracle_bytes({"records": blocks}, tmp_path)
+        json_texts = [texts["kappa"] for texts, _ in cli._block_texts(blocks, [cli._JSON_TEXT, cli._CSV_TEXT])]
+        assert json_texts == list(map(json.dumps, values))
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(blocks=array_blocks(), run_cells=st.integers(1, 16), batch=st.integers(1, 8))
+    @example(blocks=[({}, {"x": np.array([0.0, -0.0])}), ({"y": -0.0}, {"x": np.array([-0.0, 0.0, math.nan])})], run_cells=2, batch=1)
+    @example(blocks=[({}, {"x": np.array([math.inf, -math.inf, -math.nan])}), ({}, {"x": np.array([])})], run_cells=1, batch=2)
+    def test_array_blocks(self, tmp_path_factory, blocks, run_cells, batch):
+        """Blocks of float64 array columns, pooled in runs of 1 to 16 cells
+        and written 1 to 8 rows at a time, give the oracles' bytes."""
+        report = {"config": {}, "records": blocks, "verdict": {}}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_RUN_CELLS", run_cells)
             mp.setattr(cli, "_WRITE_ROWS", batch)
             assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
 
@@ -899,7 +1000,8 @@ class TestSharedWork:
     def test_run_keeps_one_block_per_table(self, corpus_report):
         """The run keeps each check call's table as one record block: one per
         (space, function, check, exponent triple), one per weakL1 pair, and
-        the varying columns are the table's lists."""
+        the varying columns are the table's columns: float64 arrays, and a
+        list of bools for the pass flags."""
         cfg = corpus_report["config"]
         pairs = len(cfg["spaces"]) * len(cfg["functions"])
         per_pair = [check for check in cfg["checks"] if isinstance(check, str)]
@@ -908,7 +1010,11 @@ class TestSharedWork:
         for shared, columns in corpus_report["records"]:
             assert set(columns) >= {"lhs", "rhs_without_constant", "empirical_constant"}
             assert not set(shared) & set(columns)
-            assert all(type(column) is list for column in columns.values())
+            for key, column in columns.items():
+                if key == "pass":
+                    assert type(column) is list and all(type(ok) is bool for ok in column)
+                else:
+                    assert type(column) is np.ndarray and column.dtype == np.float64 and column.ndim == 1
             (length,) = {len(column) for column in columns.values()}
             rows += length
         assert rows == len(expand(corpus_report["records"])) == 17765

@@ -81,6 +81,14 @@ class TestObjective:
                 best = max(best, rep.empirical_constant)
         return best
 
+    @pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T6", "T7", "weakL1"])
+    def test_returns_a_python_float(self, check_id):
+        """The maximum of a table's float64 column leaves as a Python float."""
+        sp = random_space(17, n=6)
+        objective = make_objective(sp, check_id, EXPS, seed=FAST.seed)
+        for f in (np.linspace(0.0, 1.0, sp.n), np.zeros(sp.n)):
+            assert type(objective(f)) is float
+
     @pytest.mark.parametrize("check_id", ["T1", "T3"])
     def test_ball_checks_match_per_ball_loop_on_grid16(self, check_id):
         sp = generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5))
@@ -112,6 +120,7 @@ class TestKappaSweep:
             t2 = check_T2_hedberg(sp, f, 2.0, 0.25).lhs
             (row,) = [r for r in rows if r["instance"] == idx and r["kappa"] == 2.0]
             assert row["ratio"] == t2
+        assert all(type(r["ratio"]) is float and type(r["kappa"]) is float for r in rows)
 
     def test_kappa1_dominates_kappa2(self):
         fspec = FunctionSpec("random-uniform", seed=4)
