@@ -10,19 +10,19 @@ shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
 
 ``run`` keeps each check call's table (see ``theorems``) as one record
-block: the values its rows share and its float64 arrays and pass flags.
-The verdict is counted per table.  ``write_report`` formats each distinct
-double of a run of blocks once, by its bits, and each shared value once,
-giving the bytes of ``json.dumps(indent=2)`` and of ``csv.writer``, and
-joins a block's rows from its fixed texts, which hold every shared value,
-and the texts of its varying columns; most rows are per-(ball, level)
-samples that repeat a handful of values.
+block: the values its rows share, and its float64 arrays and bool pass
+flags as columns.  ``write_report`` formats each distinct double of a run
+of blocks once, by its bits, giving the bytes of ``json.dumps(indent=2)``
+and of ``csv.writer``, and joins a block's rows from its fixed texts, which
+hold every shared value, and its columns' texts.  ``report`` re-renders
+the CSV of a ``report.json`` through ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import gc
 import io
@@ -32,7 +32,6 @@ import math
 import os
 import sys
 import typing
-from array import array
 from dataclasses import MISSING, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 
@@ -319,9 +318,8 @@ def load_function_file(path: str) -> np.ndarray:
 
 def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig, verdict: dict):
     """The record blocks of one (space, function) pair, one per check call:
-    ``(shared, columns)``, the values its rows share and the columns of
-    those that vary, the call's float64 arrays and pass flags as they are;
-    ``verdict`` counts them."""
+    ``(shared, columns)``, the values its rows share and the call's float64
+    arrays and bool pass flags as they are; ``verdict`` counts them."""
     blocks = []
     for check in cfg.checks:
         base = {**dict.fromkeys(CSV_COLUMNS, ""), "check_id": check, "space_id": space_id, "function_id": function_id}
@@ -335,8 +333,8 @@ def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig,
             shared = {**base, **t.params, "kappa": 2.0}  # evaluate runs every check at kappa = 2
             if t.passed is not None:
                 shared["theory_constant"] = t.theory_constant
-                verdict["pass"] += t.passed.count(True)
-                verdict["fail"] += t.passed.count(False)
+                verdict["pass"] += int(np.count_nonzero(t.passed))
+                verdict["fail"] += int(np.count_nonzero(~t.passed))
             table = {"gamma": t.gamma, "lhs": t.lhs, "rhs_without_constant": t.rhs_without_constant,
                      "empirical_constant": t.empirical_constant, "pass": t.passed}
             columns = {key: column for key, column in table.items() if column is not None}
@@ -453,13 +451,14 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
 
 
 _WRITE_ROWS = 256  # rows per write call, so no write holds a whole large block
-_RUN_CELLS = 1 << 12  # array cells whose doubles are pooled at a time, which bounds the pool's memory
+_RUN_CELLS = 1 << 12  # float64 cells whose doubles are pooled at a time, which bounds the pool's memory
 # "error" is not in CSV_COLUMNS: a JSON record has an "error" key only when it
 # could not be evaluated, which is how run() counts errors.
 _CSV_ALL_COLUMNS = [*CSV_COLUMNS, "error"]
 _CSV_HEADER = ",".join(_CSV_ALL_COLUMNS) + "\n"
 
 
+@functools.cache
 def _csv_field(text: str) -> str:
     """``text`` quoted as the csv module quotes one field of a longer row."""
     buf = io.StringIO()
@@ -467,33 +466,11 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-# The text of a value of each exact type whose equal values print alike;
-# None: any value, formatted one cell at a time.
-_JSON_TEXT = {float: float.__repr__, str: encode_basestring_ascii, bool: _fmt, None: json.dumps}
-_CSV_TEXT = {float: "%.17g".__mod__, str: _csv_field, bool: _fmt, None: lambda v: _csv_field(_fmt(v))}
-_NEGATIVE_ZERO = -(2**63)  # the bits of -0.0, read as an int64
-_SHARED = {str, float, bool, int, type(None)}  # hashable types whose equal values print alike
-
-
-def _column_texts(column: list, formats: list) -> list:
-    """Per format, the texts of a column's cells: one ``str`` if the column
-    is one value, else a list.  Each distinct value is formatted once where
-    that is exact (see ``write_report``), otherwise each cell."""
-    kinds = set(map(type, column))
-    distinct = None
-    if kinds <= {float, str, bool} and len(kinds - {str}) <= 1:  # no str equals a number
-        distinct = dict.fromkeys(column)
-        if float in kinds and not all(math.isfinite(v) for v in distinct if type(v) is float):
-            distinct = None
-        elif float in kinds and 0.0 in distinct and (
-            str in kinds or _NEGATIVE_ZERO in array("q", array("d", column).tobytes())
-        ):
-            distinct = None
-    if distinct is None and len(column) > 1:
-        return [list(map(fmt[None], column)) for fmt in formats]
-    if distinct is None or len(distinct) == 1:
-        return [fmt[type(column[0]) if distinct else None](column[0]) for fmt in formats]
-    return [list(map({v: fmt[type(v)](v) for v in distinct}.__getitem__, column)) for fmt in formats]
+def _json_text(value) -> str:
+    """A shared value as ``json.dumps`` prints it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
 
 
 def _row(start: str, fields: list, sep: str, end: str) -> list:
@@ -518,62 +495,53 @@ def _csv_row(texts: dict) -> list:
     return _row("", [("", texts.get(column, "")) for column in _CSV_ALL_COLUMNS], ",", "\n")
 
 
-_JSON = (_JSON_TEXT, _json_row)  # (value texts, row) of each file
-_CSV = (_CSV_TEXT, _csv_row)
-
-
-def _array_texts(arrays: list, formats: list) -> list:
-    """Per array of the non-empty float64 ``arrays``, per format, its texts:
-    one ``str`` if its cells are one double, else a list.  The arrays are
-    pooled, and each distinct double, told apart by its bits, is formatted
-    once: a finite one by the format's float text, the others cell-exactly."""
+def _array_texts(arrays: list) -> list:
+    """Per array of the float64 ``arrays``, its JSON and CSV cell texts: each
+    distinct double of the pool, told apart by its bits, is formatted once."""
     values = np.concatenate(arrays)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    floats, starts = bits.view(np.float64).tolist(), np.cumsum([0, *map(len, arrays[:-1])])
-    one = (np.minimum.reduceat(inverse, starts) == np.maximum.reduceat(inverse, starts)).tolist()
-    texts = [[fmt[float](v) if math.isfinite(v) else fmt[None](v) for v in floats] for fmt in formats]
-    cells = [np.array(t, dtype=object)[inverse] for t in texts]
-    bounds = [*starts.tolist(), values.size]
-    return [[c[i] if o else c[i:j].tolist() for c in cells] for i, j, o in zip(bounds, bounds[1:], one)]
+    floats = bits.view(np.float64).tolist()
+    json_texts = [float.__repr__(v) if math.isfinite(v) else json.dumps(v) for v in floats]
+    cells = [np.array(texts, dtype=object)[inverse].tolist() for texts in (json_texts, ["%.17g" % v for v in floats])]
+    bounds = np.cumsum([0, *map(len, arrays)]).tolist()
+    return [tuple(c[i:j] for c in cells) for i, j in zip(bounds, bounds[1:])]
 
 
-def _block_texts(blocks: list, formats: list):
-    """Per block, per format, ``{key: texts}``.  The blocks are taken in runs
-    whose float64 array columns hold about ``_RUN_CELLS`` cells, and the
-    arrays of a run are pooled (``_array_texts``); a list column is
-    formatted alone (``_column_texts``); and a shared value, a column of
-    one, once per call for each exact type in ``_SHARED``, value and sign
-    (0.0 == -0.0), and a value of any other type each time."""
-    known, sizes = {}, ([c.size for c in cs.values() if isinstance(c, np.ndarray)] for _, cs in blocks)
-    for _, run in itertools.groupby(zip(itertools.accumulate(map(sum, sizes), initial=0), blocks),
+def _float_columns(columns: dict) -> list:
+    """A block's float64 columns; every other column must be a bool array."""
+    if not all(isinstance(c, np.ndarray) and c.dtype in (np.float64, np.bool_) for c in columns.values()):
+        raise TypeError(f"record columns must be float64 or bool arrays: {sorted(columns)}")
+    return [c for c in columns.values() if c.dtype == np.float64]
+
+
+def _block_texts(blocks: list):
+    """Per block, its JSON and CSV ``{key: texts}``: a text per shared value
+    (``_json_text``; ``_csv_field`` of its ``_fmt``) and a list per column.
+    The float64 columns of a run of blocks of about ``_RUN_CELLS`` cells are
+    pooled (``_array_texts``); a bool column prints ``true`` and ``false``
+    in both files."""
+    sizes = (sum(c.size for c in _float_columns(columns)) for _, columns in blocks)
+    for _, run in itertools.groupby(zip(itertools.accumulate(sizes, initial=0), blocks),
                                     lambda cells_block: cells_block[0] // _RUN_CELLS):
         run = [block for _, block in run]
-        arrays = [c for _, cs in run for c in cs.values() if isinstance(c, np.ndarray) and c.size]
-        pooled = iter(_array_texts(arrays, formats) if arrays else [])
+        arrays = [c for _, columns in run for c in _float_columns(columns)]
+        pooled = iter(_array_texts(arrays) if arrays else [])
         for shared, columns in run:
-            found = {}
-            for key, value in shared.items():
-                kind = type(value)
-                if kind in _SHARED:
-                    ident = (kind, value, math.copysign(1.0, value) if kind is float else 0)
-                    found[key] = known[ident] = known.get(ident) or _column_texts([value], formats)
-                else:
-                    found[key] = _column_texts([value], formats)
+            texts = {key: (_json_text(v), _csv_field(_fmt(v))) for key, v in shared.items()}
             for key, c in columns.items():
-                found[key] = next(pooled) if isinstance(c, np.ndarray) and c.size else _column_texts(c, formats)
-            yield [dict(zip(found, texts)) for texts in zip(*found.values())] or [{} for _ in formats]
+                flags = list(map(("false", "true").__getitem__, c.tolist())) if c.dtype == bool else None
+                texts[key] = next(pooled) if flags is None else (flags, flags)
+            yield {key: t for key, (t, _) in texts.items()}, {key: t for key, (_, t) in texts.items()}
 
 
-def _chunks(blocks: list, *formats):
-    """The rows of ``blocks`` in each of ``formats``, joined ``_WRITE_ROWS``
-    rows at a time.  A block is ``(shared, columns)``: the values that all
-    its rows share, by key, and equally long columns of the others, each a
-    list or a float64 array; a block without columns is one row.  A chunk
-    of ``m`` rows is the row ``m`` times, each varying column's texts put
-    into its slots by one slice assignment, and one join."""
-    for (_, columns), texts in zip(blocks, _block_texts(blocks, [value_texts for value_texts, _ in formats])):
+def _chunks(blocks: list):
+    """The JSON and CSV rows of ``blocks``, ``_WRITE_ROWS`` rows a chunk.  A
+    block is ``(shared, columns)``: the values all its rows share, by key,
+    and equally long float64 or bool array columns; without columns it is
+    one row.  A chunk is the row repeated, each column's texts sliced in."""
+    for (_, columns), (json_texts, csv_texts) in zip(blocks, _block_texts(blocks)):
         n = len(next(iter(columns.values()))) if columns else 1
-        rows = [row_of(t) for (_, row_of), t in zip(formats, texts)]
+        rows = _json_row(json_texts), _csv_row(csv_texts)
         for i in range(0, n, _WRITE_ROWS):
             chunks = []
             for row in rows:
@@ -585,12 +553,11 @@ def _chunks(blocks: list, *formats):
 
 
 def write_csv(records, fh):
-    """``records.csv`` of plain row dicts, as one block whose every CSV
-    column is a list (a key a row lacks is an empty cell)."""
+    """``records.csv`` of plain row dicts: the ``_fmt`` of each cell, a key a
+    row lacks an empty cell, through ``csv.writer``."""
     fh.write(_CSV_HEADER)
-    columns = {key: [row.get(key, "") for row in records] for key in _CSV_ALL_COLUMNS}
-    for (text,) in _chunks([({}, columns)], _CSV):
-        fh.write(text)
+    cells = ([_fmt(row.get(key, "")) for key in _CSV_ALL_COLUMNS] for row in records)
+    csv.writer(fh, lineterminator="\n").writerows(cells)
 
 
 def write_report(report: dict, out_dir: str):
@@ -599,17 +566,8 @@ def write_report(report: dict, out_dir: str):
     The bytes are those of the rows that the blocks of ``report["records"]``
     (``_chunks``) expand to: ``report.json`` is ``json.dumps(report,
     sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
-    ``csv.writer`` prints for the ``_fmt`` of every cell.  A block's rows
-    are its fixed texts, repeated, with each varying column's texts
-    between them.  Float64 array columns are formatted by bits: equal bits
-    are the same double, so each distinct one is formatted once per run of
-    blocks.  A shared value of a type in ``_SHARED`` is formatted once per
-    write for its exact type, value and sign, and a list column each
-    distinct value once.  That is exact because equal values of one exact
-    type print alike and no str equals a number, except in the list
-    columns formatted cell by cell: floats holding -0.0 (equal to 0.0), NaN
-    or an infinity (JSON spells both apart from ``repr``), and numbers of
-    two types (``True == 1 == 1.0``) or of a type other than float and bool.
+    ``csv.writer`` prints for the ``_fmt`` of every cell.  Equal bits are the
+    same double, so pooling float64 columns by bits is exact.
     """
     os.makedirs(out_dir, exist_ok=True)
     with (
@@ -624,7 +582,7 @@ def write_report(report: dict, out_dir: str):
                 fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
                 continue
             lead = "["  # in place of the first row's ","
-            for json_rows, csv_rows in _chunks(report[key], _JSON, _CSV):
+            for json_rows, csv_rows in _chunks(report[key]):
                 fh.write(lead + json_rows[1:] if lead else json_rows)
                 fc.write(csv_rows)
                 lead = ""
@@ -659,7 +617,11 @@ def _run_command(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else cfg.output_dir
-    write_report(report, out_dir)
+    try:
+        write_report(report, out_dir)
+    except OSError as exc:
+        print(f"cannot write report to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         v = report["verdict"]
         print(f"pass={v['pass']} fail={v['fail']} errors={v['errors']} -> {out_dir}", file=sys.stderr)
@@ -726,10 +688,13 @@ def main(argv=None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 report = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            records = report.get("records") if isinstance(report, dict) else None
+            if not isinstance(records, list) or not all(isinstance(row, dict) for row in records):
+                raise ValueError("expected an object holding a 'records' list of objects")
+        except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        write_csv(report["records"], sys.stdout)
+        write_csv(records, sys.stdout)
         return 0
 
     return _run_command(args)

@@ -56,7 +56,7 @@ def make_objective(space: MetricMeasureSpace, check_id: str, exps: ExponentSet, 
     balls = enumerate_balls(space, limit=64, seed=seed) if check_id in BALL_CHECKS else []
 
     def objective(f: np.ndarray) -> float:
-        return max(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant.tolist(), default=0.0)
+        return float(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant.max(initial=0.0))
 
     return objective
 

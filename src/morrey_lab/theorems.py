@@ -11,9 +11,9 @@ given the same ``Values`` compute each operator value and norm of f once.
 A check call computes one table: the check id, params and theory constant
 its rows share, a float64 array over the rows in ``gamma`` (None without
 levels), ``lhs``, ``rhs_without_constant`` and ``empirical_constant``, and
-a list of bools in ``passed`` (None without a theory constant).
+a bool array in ``passed`` (None without a theory constant).
 ``evaluate`` returns tables; a ``CheckReport`` per row, from the
-``check_*`` functions, is their library view, with Python floats.
+``check_*`` functions, is their library view, with Python floats and bools.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _table(check_id, params, lhs, rhs, theory_constant=None, gamma=None) -> _Tab
     read in C order, and the constants and flags of ``_constants``."""
     lhs, rhs = np.asarray(lhs, dtype=float).ravel(), np.asarray(rhs, dtype=float).ravel()
     const, passed = _constants(lhs, rhs, theory_constant)
-    return _Table(check_id, params, theory_constant, gamma, lhs, rhs, const, None if passed is None else passed.tolist())
+    return _Table(check_id, params, theory_constant, gamma, lhs, rhs, const, passed)
 
 
 def _reports(t: _Table, balls=None) -> list[CheckReport]:
@@ -86,7 +86,7 @@ def _reports(t: _Table, balls=None) -> list[CheckReport]:
     heads = [{}] * n if balls is None else [{"a": a, "r": r} for a, r in balls for _ in range(n // len(balls))]
     levels = [{}] * n if t.gamma is None else [{"gamma": g} for g in t.gamma.tolist()]
     numbers = (t.lhs.tolist(), t.rhs_without_constant.tolist(), t.empirical_constant.tolist())
-    rows = zip(heads, levels, *numbers, t.passed or [None] * n)
+    rows = zip(heads, levels, *numbers, [None] * n if t.passed is None else t.passed.tolist())
     return [CheckReport(t.check_id, {**h, **t.params, **g}, *row, t.theory_constant, ok) for h, g, *row, ok in rows]
 
 

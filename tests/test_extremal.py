@@ -4,6 +4,7 @@ import pytest
 from morrey_lab.extremal import (
     OptimizerConfig,
     UnknownCheckId,
+    _initial_function,
     estimate_constant,
     kappa_sweep,
     make_objective,
@@ -16,6 +17,7 @@ from morrey_lab.theorems import (
     check_T2_hedberg,
     check_T3_weak_frac,
     enumerate_balls,
+    evaluate,
     gamma_grid,
 )
 
@@ -88,6 +90,19 @@ class TestObjective:
         objective = make_objective(sp, check_id, EXPS, seed=FAST.seed)
         for f in (np.linspace(0.0, 1.0, sp.n), np.zeros(sp.n)):
             assert type(objective(f)) is float
+
+    @pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T6", "T7", "weakL1"])
+    def test_equals_python_max_of_the_column_on_grid16(self, check_id):
+        """The objective is the float64 maximum of the table's constants, the
+        same value as Python's ``max`` over them (0 for no row), at the
+        uniform, spike and sparse start functions of the optimizer."""
+        sp = generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5))
+        objective = make_objective(sp, check_id, EXPS, seed=FAST.seed)
+        balls = enumerate_balls(sp, limit=64, seed=FAST.seed)
+        for restart in range(3):
+            f = _initial_function(sp, restart, FAST.seed)
+            column = evaluate(sp, f, check_id, [EXPS], balls)[0].empirical_constant
+            assert objective(f) == max(column.tolist(), default=0.0)
 
     @pytest.mark.parametrize("check_id", ["T1", "T3"])
     def test_ball_checks_match_per_ball_loop_on_grid16(self, check_id):

@@ -502,15 +502,17 @@ class TestScalingInvariance:
 def assert_rows_are_reports(tables, reports):
     """Row i of ``tables``, read table by table, is ``reports[i]`` field by
     field: the tables' float64 arrays, read with ``.tolist()``, ``==`` the
-    reports' floats, which are Python floats, and flags that are the same
-    bool or None.  A report's ball ``a``, ``r`` is not a table column."""
+    reports' floats, which are Python floats, and the tables' bool arrays of
+    flags, read the same way, the same bool or None.  A report's ball ``a``, ``r`` is not a table column."""
     rows = []
     for t in tables:
         arrays = (t.lhs, t.rhs_without_constant, t.empirical_constant, *([] if t.gamma is None else [t.gamma]))
         assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == t.lhs.shape for x in arrays)
+        assert t.passed is None or (type(t.passed) is np.ndarray and t.passed.dtype == bool and t.passed.shape == t.lhs.shape)
         levels = [{}] * len(t.lhs) if t.gamma is None else [{"gamma": g} for g in t.gamma.tolist()]
         numbers = zip(t.lhs.tolist(), t.rhs_without_constant.tolist(), t.empirical_constant.tolist())
-        rows += [(t, *cells) for cells in zip(levels, numbers, t.passed or [None] * len(t.lhs))]
+        flags = [None] * len(t.lhs) if t.passed is None else t.passed.tolist()
+        rows += [(t, *cells) for cells in zip(levels, numbers, flags)]
     assert len(rows) == len(reports) > 0
     for (t, level, numbers, passed), rep in zip(rows, reports):
         assert (t.check_id, t.theory_constant) == (rep.check_id, rep.theory_constant)
@@ -721,7 +723,8 @@ class TestConstants:
     def test_three_branches(self):
         for lhs, rhs, const, passed in self.CASES:
             table = theorems._table("T2", {}, lhs, rhs, 4.0)
-            assert (table.empirical_constant.tolist(), table.passed) == ([const], [passed])
+            assert (table.empirical_constant.tolist(), table.passed.tolist()) == ([const], [passed])
+            assert table.passed.dtype == bool
             (rep,) = theorems._reports(table)
             assert (rep.empirical_constant, rep.passed) == (const, passed)
             assert type(rep.empirical_constant) is float and type(rep.passed) is bool
