@@ -6,12 +6,7 @@ __version__ = "0.2.0"
 
 from .functions import ExponentSet, lq_norm, morrey_norm
 from .generators import FunctionSpec, SpaceSpec, generate_function, generate_space
-from .operators import (
-    fractional_integral,
-    hedberg_constant,
-    hedberg_layer_sum,
-    maximal,
-)
+from .operators import fractional_integral, hedberg_constant, maximal
 from .space import (
     MetricMeasureSpace,
     doubling_ratio,
@@ -42,7 +37,6 @@ __all__ = [
     "generate_function",
     "generate_space",
     "hedberg_constant",
-    "hedberg_layer_sum",
     "lq_norm",
     "maximal",
     "morrey_norm",

@@ -41,7 +41,7 @@ from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
 from .functions import ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
-from .space import InvalidSpaceError, MetricMeasureSpace, find_violations, validate_space
+from .space import MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
@@ -297,11 +297,7 @@ def load_space_file(path: str) -> MetricMeasureSpace:
 
 
 def save_space_file(space: MetricMeasureSpace, path: str):
-    doc = {
-        "n": space.n,
-        "dist": [float(v) for v in space.dist.ravel()],
-        "mass": [float(v) for v in space.mass],
-    }
+    doc = {"n": space.n, "dist": space.dist.ravel().tolist(), "mass": space.mass.tolist()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -346,8 +342,16 @@ def _read_input_file(load, path: str):
     """``load(path)`` with an unreadable or invalid file as a config error."""
     try:
         return load(path)
-    except (OSError, TypeError, ValueError, InvalidSpaceError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot use input file {path}: {exc}") from exc
+
+
+def _generate_space(sid: str, spec: SpaceSpec) -> MetricMeasureSpace:
+    """``generate_space(spec)`` with a space that fails validation as a config error."""
+    try:
+        return generate_space(spec)
+    except ValueError as exc:
+        raise ConfigError(f"space {sid!r}: {exc}") from exc
 
 
 def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
@@ -356,7 +360,7 @@ def _materialize_spaces(cfg: ExperimentConfig, base_dir: str):
         if isinstance(spec, str):
             out.append((sid, _read_input_file(load_space_file, os.path.join(base_dir, spec))))
         else:
-            out.append((sid, generate_space(spec)))
+            out.append((sid, _generate_space(sid, spec)))
     return out
 
 
@@ -568,26 +572,36 @@ def write_report(report: dict, out_dir: str):
     sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
     ``csv.writer`` prints for the ``_fmt`` of every cell.  Equal bits are the
     same double, so pooling float64 columns by bits is exact.
+
+    Both files are written under temporary names in ``out_dir``, renamed into
+    place once both are complete, and removed on any exception before that:
+    ``out_dir`` keeps an earlier run's files as they were, or none.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with (
-        open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh,
-        open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8") as fc,
-    ):
-        fc.write(_CSV_HEADER)
-        fh.write("{")
-        for i, key in enumerate(sorted(report)):
-            fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
-            if key != "records":
-                fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-                continue
-            lead = "["  # in place of the first row's ","
-            for json_rows, csv_rows in _chunks(report[key]):
-                fh.write(lead + json_rows[1:] if lead else json_rows)
-                fc.write(csv_rows)
-                lead = ""
-            fh.write("[]" if lead else "\n  ]")
-        fh.write("\n}\n")
+    names = ("report.json", "records.csv")
+    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names]
+    try:
+        with open(temps[0], "w", encoding="utf-8") as fh, open(temps[1], "w", encoding="utf-8") as fc:
+            fc.write(_CSV_HEADER)
+            fh.write("{")
+            for i, key in enumerate(sorted(report)):
+                fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+                if key != "records":
+                    fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+                    continue
+                lead = "["  # in place of the first row's ","
+                for json_rows, csv_rows in _chunks(report[key]):
+                    fh.write(lead + json_rows[1:] if lead else json_rows)
+                    fc.write(csv_rows)
+                    lead = ""
+                fh.write("[]" if lead else "\n  ]")
+            fh.write("\n}\n")
+        for temp, name in zip(temps, names):
+            os.replace(temp, os.path.join(out_dir, name))
+    except BaseException:
+        for temp in filter(os.path.exists, temps):
+            os.remove(temp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +644,7 @@ def _run_command(args) -> int:
 
 def main(argv=None) -> int:
     gc.freeze()  # the collection at exit need not walk what the imports built
-    ap = argparse.ArgumentParser(prog="morrey-lab", description=__doc__)
+    ap = argparse.ArgumentParser(prog="morrey-lab", description=__doc__.split("\n\n")[0])
     ap.add_argument("--quiet", action="store_true", help="suppress stderr logging")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -673,14 +687,18 @@ def main(argv=None) -> int:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            _, spec = _parse_space_entry(raw, 0, 0)  # seed 0 unless the spec sets one
+            sid, spec = _parse_space_entry(raw, 0, 0)  # seed 0 unless the spec sets one
             if isinstance(spec, str):
                 raise ConfigError("gen spec must be a generator family, not a file reference")
-            space = generate_space(spec)
-        except (OSError, ValueError, ConfigError, InvalidSpec) as exc:
+            space = _generate_space(sid, spec)
+        except (OSError, ValueError) as exc:  # ConfigError and InvalidSpec are ValueErrors
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        save_space_file(space, args.output)
+        try:
+            save_space_file(space, args.output)
+        except OSError as exc:
+            print(f"cannot write space file {args.output}: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command == "report":

@@ -83,11 +83,15 @@ def _grid_points(spec: SpaceSpec) -> tuple[np.ndarray, float]:
     return coords, h
 
 
-def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
+def _space_arrays(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The distances and masses of the space of ``spec``, not yet validated."""
     if spec.family in ("grid", "gaussian-grid", "radial-decay-grid"):
         coords, h = _grid_points(spec)
         dist = _euclidean(coords)
-        cell = h**spec.dim
+        try:
+            cell = h**spec.dim
+        except OverflowError:
+            cell = math.inf
         if spec.family == "grid":
             mass = np.full(len(coords), cell)
         else:
@@ -96,7 +100,7 @@ def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
                 mass = cell * np.exp(-norms2)
             else:
                 mass = cell * (1.0 + np.sqrt(norms2)) ** (-spec.beta)
-        return validate_space(dist, mass)
+        return dist, mass
 
     if spec.family == "ultrametric-tree":
         n = 2**spec.depth
@@ -106,8 +110,7 @@ def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
         xor = idx[:, None] ^ idx[None, :]
         lca = spec.depth - np.frexp(xor)[1]
         dist = np.where(xor == 0, 0.0, 2.0 ** (-lca.astype(float)))
-        mass = np.ones(n)
-        return validate_space(dist, mass)
+        return dist, np.ones(n)
 
     if spec.family == "random-points":
         pts = np.array(
@@ -119,11 +122,17 @@ def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
                 for i in range(spec.n)
             ]
         )
-        dist = _euclidean(pts)
-        mass = np.ones(spec.n)
-        return validate_space(dist, mass)
+        return _euclidean(pts), np.ones(spec.n)
 
     raise InvalidSpec(f"unknown space family {spec.family!r}")
+
+
+def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
+    """The space of ``spec``, validated once.  A number past the float range
+    becomes a non-finite entry, which validation reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist, mass = _space_arrays(spec)
+    return validate_space(dist, mass)
 
 
 def generate_function(space: MetricMeasureSpace, spec: FunctionSpec) -> np.ndarray:

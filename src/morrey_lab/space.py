@@ -18,7 +18,7 @@ import numpy as np
 TRIANGLE_RTOL = 1e-12
 
 
-class InvalidSpaceError(Exception):
+class InvalidSpaceError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         lines = ", ".join(str(v) for v in self.violations[:8])

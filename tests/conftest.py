@@ -4,9 +4,14 @@ The oracles deliberately avoid the breakpoint-enumeration shortcut: they
 sample a dense radius grid (closed-ball evaluation, which realizes the
 right limits the enumeration claims to compute) and take the max.  They
 are the independent side of every oracle-equivalence test.
+
+``hedberg_layer_sum`` is the middle term of T2's proof, which the library
+does not compute: the tests check I_alpha f <= layer sum <= the T2 bound.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -112,6 +117,46 @@ def brute_maximal(space, f, k, count=10_000):
         integ = closed_integral(space, x, radii, w)
         denom = space.closed_measure(x, k * radii)
         out[x] = float((integ / denom).max())
+    return out
+
+
+def default_k_range(space: MetricMeasureSpace) -> tuple[int, int]:
+    """Dyadic index range outside of which the layer radii are constant."""
+    lo = math.floor(math.log2(float(space.mass.min()))) - 1
+    hi = math.ceil(math.log2(space.total_mass)) + 1
+    return lo, hi
+
+
+def layer_radii(space: MetricMeasureSpace, x: int, k_range=None) -> np.ndarray:
+    """R_k(x) for lo <= k <= hi, ``default_k_range`` unless (lo, hi) is given:
+    the smallest R with mu(closed ball(x, 2R)) > 2^k.  On a finite space it
+    is t/2 for the first distance t from x whose closed ball exceeds mass
+    2^k, and inf where no ball does."""
+    lo, hi = default_k_range(space) if k_range is None else k_range
+    first_above = np.searchsorted(space.csum0[x][1:], 2.0 ** np.arange(lo, hi + 1), side="right")
+    return np.append(space.sorted_dist[x], math.inf)[first_above] / 2.0
+
+
+def hedberg_layer_sum(space: MetricMeasureSpace, f, alpha: float) -> np.ndarray:
+    """The middle term of T2's proof, per point x: the sum over the layers k
+    with R_{k-1}(x) < R_k(x) (``layer_radii``) of
+    2^{(k-1)(alpha-1)} * int_{B(x, R_k(x))} |f| dmu, open balls, the layer
+    reaching R_k = inf integrating over all of X.  It dominates I_alpha f
+    (kappa = 2) and is dominated by ``hedberg_constant`` times
+    (M_2 f)^{1-p*alpha} ||f||^{p*alpha}.  The terms are added in k order
+    (``np.cumsum``), as a loop over k adds them."""
+    absfm = np.abs(np.asarray(f, dtype=float)) * space.mass
+    lo, hi = default_k_range(space)
+    weights = np.array([2.0 ** ((k - 1) * (alpha - 1.0)) for k in range(lo, hi + 1)])
+    total = float(absfm.sum())
+    out = np.empty(space.n)
+    for x in range(space.n):
+        sd = space.sorted_dist[x]
+        radii = layer_radii(space, x, (lo, hi))
+        cf = np.concatenate([[0.0], np.cumsum(absfm[space.order[x]])])
+        integrals = np.where(np.isinf(radii), total, cf[np.searchsorted(sd, radii, side="left")])
+        active = np.concatenate([[0.0], radii[:-1]]) < radii  # R_{lo-1} = 0 by the range choice
+        out[x] = np.cumsum(np.where(active, weights * integrals, 0.0))[-1]
     return out
 
 

@@ -106,16 +106,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "layer-radius-open-ball",
-        "operators.py",
-        "cs = space.csum0[:, 1:]",
-        "cs = space.csum0[:, :-1]",
-        (
-            "tests/test_operators.py::TestLayerRadii::test_two_point_scan",
-            "tests/test_operators.py::TestLayerTable::test_layers_equal_per_point_loops_bitwise",
-        ),
-    ),
-    Mutant(
         "doubling-last-witness",
         "space.py",
         "x = int(np.argmax(row_max == best))",
@@ -211,7 +201,10 @@ MUTANTS = (
         "theorems.py",
         "mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)",
         "mf, norm = v.of(maximal, 1.0), v.of(morrey_norm, p, 1.0, 2.0)",
-        ("tests/test_theorems.py::TestHubAndSpoke::test_t1_constant_is_one",),
+        (
+            "tests/test_theorems.py::TestHubAndSpoke::test_t1_constant_is_one",
+            "tests/test_acceptance.py::test_criterion_2_t1_constant_four",
+        ),
     ),
     Mutant(
         "weak-l1-unmodified-maximal",

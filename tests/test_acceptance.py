@@ -20,12 +20,7 @@ from morrey_lab import __version__, cli
 from morrey_lab.extremal import OptimizerConfig, estimate_constant, kappa_sweep, make_objective
 from morrey_lab.functions import ExponentSet, morrey_norm
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
-from morrey_lab.operators import (
-    fractional_integral,
-    hedberg_constant,
-    hedberg_layer_sum,
-    maximal,
-)
+from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import MetricMeasureSpace, doubling_ratio
 from morrey_lab.theorems import (
     check_T1_weak_maximal,
@@ -38,7 +33,14 @@ from morrey_lab.theorems import (
     gamma_grid,
 )
 
-from conftest import brute_doubling, brute_maximal, brute_morrey, random_space, single_point_space
+from conftest import (
+    brute_doubling,
+    brute_maximal,
+    brute_morrey,
+    hedberg_layer_sum,
+    random_space,
+    single_point_space,
+)
 
 P_GRID = (1.5, 2.0, 4.0)
 PA_PAIRS = ((2.0, 0.25), (4.0, 0.125), (1.5, 0.5))
@@ -106,7 +108,11 @@ def test_criterion_1_oracle_equivalence(capsys):
 
 
 def test_criterion_2_t1_constant_four(corpus, capsys):
-    """Every weak-maximal record passes with the explicit constant 4."""
+    """Every weak-maximal record passes with the explicit constant 4, and
+    its constant is at most the sharp 1 (``TestSharpConstant``) within 3
+    ulps: the largest is 0.9846, while M_1 in place of M_2 takes 297
+    records past 1 and none past 4."""
+    ulps = 3 * np.spacing(1.0)
     start = time.monotonic()
     records = 0
     for sid, sp in corpus:
@@ -117,6 +123,7 @@ def test_criterion_2_t1_constant_four(corpus, capsys):
             for p in P_GRID:
                 for rep in check_T1_weak_maximal(sp, f, balls, p, gammas):
                     assert rep.passed, (sid, fid, p, rep)
+                    assert rep.empirical_constant <= 1.0 + ulps, (sid, fid, p, rep)
                     records += 1
     elapsed = time.monotonic() - start
     assert elapsed < 600.0

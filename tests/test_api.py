@@ -21,7 +21,6 @@ PUBLIC = [
     "generate_function",
     "generate_space",
     "hedberg_constant",
-    "hedberg_layer_sum",
     "lq_norm",
     "maximal",
     "morrey_norm",

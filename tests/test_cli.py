@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -101,6 +102,34 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith("config error: spaces[0]: 'n'")
 
+    def build_space(self, tmp_path, capsys, command, entry):
+        """``run`` with the one space ``entry``, or ``gen`` of it."""
+        if command == "run":
+            return self.run_with(tmp_path, capsys, {"spaces": [entry]})
+        (tmp_path / "spec.json").write_text(json.dumps(entry))
+        code = cli.main(["gen", str(tmp_path / "spec.json"), "-o", str(tmp_path / "space.json")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_generated_space_that_fails_validation(self, tmp_path, capsys, command):
+        """A Gaussian grid this wide has masses that underflow to 0: the
+        space is invalid, which is exit 2 with the space's id, not a traceback."""
+        entry = {"id": "g", "family": "gaussian-grid", "n": 16, "halfwidth": 40.0}
+        code, err = self.build_space(tmp_path, capsys, command, entry)
+        assert code == 2
+        assert err.startswith("config error: space 'g': invalid space: NonpositiveMass(0,), NonpositiveMass(1,)")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "space.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_generated_space_past_the_float_range(self, tmp_path, capsys, command):
+        """A grid cell of side 5e199 in two dimensions has a volume past the
+        float range: its masses and distances are not finite, exit 2, with
+        no overflow warning."""
+        entry = {"family": "grid", "n": 4, "dim": 2, "halfwidth": 1e200}
+        code, err = self.build_space(tmp_path, capsys, command, entry)
+        assert code == 2
+        assert err == "config error: space 'space0': invalid space: Shape('non-finite entries',)\n"
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -371,6 +400,14 @@ class TestSpaceFiles:
             assert cli.main(["gen", str(spec), "-o", str(tmp_path / "space.json")]) == 2
             assert capsys.readouterr().err.startswith("config error: spaces[0]:")
 
+    def test_gen_unwritable_output_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"family": "grid", "n": 4}))
+        out = tmp_path / "missing" / "dir" / "x.json"
+        assert cli.main(["gen", str(spec), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot write space file {out}: ")
+        assert not (tmp_path / "missing").exists()
+
 
 class TestRun:
     def test_exit_zero_and_artifacts(self, tmp_path):
@@ -481,6 +518,17 @@ class TestRun:
         assert cli.main(["report", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"cannot read {tmp_path / 'report.json'}: ")
+
+    def test_help_prints_the_first_docstring_paragraph(self, capsys):
+        """``--help`` describes the tool in the first paragraph of the
+        module docstring, not the writer internals that follow it."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        first, rest = cli.__doc__.split("\n\n", 1)
+        assert " ".join(first.split()) in out
+        assert "write_report" in rest and "write_report" not in out
 
     def test_unwritable_output_directory_exits_two(self, tmp_path, capsys):
         """An output directory that cannot be made (here an existing file)
@@ -693,6 +741,27 @@ def array_blocks(draw):
     return blocks
 
 
+class Recording:
+    """A text file that appends the length of each text it writes to
+    ``sizes``, shared by the files it wraps, and raises ``OSError`` (no
+    space left on the device) for write number ``fail_at`` of them."""
+
+    def __init__(self, fh, sizes: list, fail_at=None):
+        self.fh, self.sizes, self.fail_at = fh, sizes, fail_at
+
+    def write(self, text):
+        if len(self.sizes) == self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.sizes.append(len(text))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 class TestWriteReport:
     """report.json and records.csv are written a record block at a time;
     their bytes must stay those of ``json.dumps(report, sort_keys=True,
@@ -892,27 +961,50 @@ class TestWriteReport:
     def write_sizes(report, out_dir, monkeypatch) -> list:
         """The length of each text ``write_report`` writes, to either file."""
         sizes = []
-
-        class Recording:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, text):
-                sizes.append(len(text))
-                return self.fh.write(text)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
         with monkeypatch.context() as m:
-            m.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k)), raising=False)
+            m.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k), sizes), raising=False)
             write_report(report, str(out_dir))
         total = (out_dir / "report.json").stat().st_size + (out_dir / "records.csv").stat().st_size
         assert sum(sizes) == total
         return sizes
+
+    @staticmethod
+    def earlier_run(out_dir, earlier: bool) -> dict:
+        """The files of ``out_dir``, by name, after a run of check T6 alone
+        was written there, or none if not ``earlier``."""
+        if earlier:
+            write_report(cli.run(parse_config(dict(BASE_CONFIG, checks=["T6"])))[0], str(out_dir))
+        return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-an-earlier-run", "into-an-empty-dir"])
+    def test_block_failing_mid_write_leaves_earlier_files(self, tmp_path, monkeypatch, earlier):
+        """A block whose column is a list raises ``TypeError`` after the
+        blocks before it are written: the directory holds the earlier run's
+        bytes, or nothing."""
+        before = self.earlier_run(tmp_path, earlier)
+        report, _ = cli.run(parse_config(BASE_CONFIG))
+        report["records"].append(({"check_id": "T1"}, {"lhs": [0.5]}))
+        monkeypatch.setattr(cli, "_RUN_CELLS", 1)  # a run per block, so the blocks before it are written first
+        sizes = []
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k), sizes), raising=False)
+        with pytest.raises(TypeError, match="float64 or bool arrays"):
+            write_report(report, str(tmp_path))
+        assert sum(sizes) > len(json.dumps(expand(report["records"][:-2]), indent=2))
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-an-earlier-run", "into-an-empty-dir"])
+    def test_write_error_leaves_earlier_files(self, tmp_path, monkeypatch, earlier):
+        """A ``write`` that raises ``OSError`` (a full disk) part way: the
+        error reaches the caller, and the directory holds the earlier run's
+        bytes, or nothing."""
+        before = self.earlier_run(tmp_path, earlier)
+        report, _ = cli.run(parse_config(BASE_CONFIG))
+        sizes = []
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k), sizes, fail_at=8), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_report(report, str(tmp_path))
+        assert len(sizes) == 8
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_writes_are_bounded(self, corpus_report, tmp_path, monkeypatch):
         """The writer streams: no single write holds the whole 6.9 MB report."""

@@ -5,20 +5,15 @@ import pytest
 
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_space
-from morrey_lab.operators import (
-    _layer_table,
-    default_k_range,
-    fractional_integral,
-    hedberg_constant,
-    hedberg_layer_sum,
-    maximal,
-)
+from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import MetricMeasureSpace
 
 from conftest import (
     brute_maximal,
+    default_k_range,
+    hedberg_layer_sum,
+    layer_radii,
     random_space,
-    reference_spaces,
     single_point_space,
     table_spaces,
     two_point_space,
@@ -141,42 +136,30 @@ class TestFractionalIntegral:
             prev = cur
 
 
-def layer_radii(space, x, k_range):
-    """{k: R_k(x)} for (lo, hi) = k_range, read from row x of ``_layer_table``."""
-    lo, hi = k_range
-    return dict(zip(range(lo, hi + 1), _layer_table(space, lo, hi)[x].tolist()))
-
-
 class TestLayerRadii:
     def test_single_point_step(self):
         sp = single_point_space(mass=1.0)
-        radii = layer_radii(sp, 0, (-3, 3))
-        for k in range(-3, 0):
-            assert radii[k] == 0.0
-        for k in range(0, 4):
-            assert radii[k] == math.inf
+        assert layer_radii(sp, 0, (-3, 3)).tolist() == [0.0] * 3 + [math.inf] * 4  # k = -3 .. 3
 
     def test_two_point_scan(self):
         sp = two_point_space()
-        radii = layer_radii(sp, 0, (-2, 2))
-        assert radii[-1] == 0.0 and radii[-2] == 0.0
-        assert radii[0] == 0.5
-        assert radii[1] == math.inf and radii[2] == math.inf
+        assert layer_radii(sp, 0, (-2, 2)).tolist() == [0.0, 0.0, 0.5, math.inf, math.inf]  # k = -2 .. 2
 
     def test_nondecreasing_in_k(self):
         for seed in range(8):
             sp = random_space(seed)
             lo, hi = default_k_range(sp)
-            table = _layer_table(sp, lo, hi)
-            assert table.shape == (sp.n, hi - lo + 1)
-            assert np.all(table[:, 1:] >= table[:, :-1])
+            for x in range(sp.n):
+                radii = layer_radii(sp, x)
+                assert radii.shape == (hi - lo + 1,)
+                assert np.all(radii[1:] >= radii[:-1])
 
     def test_default_range_saturates(self):
         sp = random_space(3)
         lo, hi = default_k_range(sp)
-        radii = layer_radii(sp, 0, (lo - 2, hi + 2))
-        assert radii[lo - 2] == radii[lo - 1] == radii[lo] == 0.0
-        assert radii[hi] == math.inf
+        radii = layer_radii(sp, 0, (lo - 2, hi + 2))  # radii[i] is R_{lo - 2 + i}
+        assert radii[0] == radii[1] == radii[2] == 0.0
+        assert radii[hi - lo + 2] == math.inf
 
 
 class TestHedbergConstant:
@@ -305,57 +288,7 @@ class TestDilatedTable:
         assert len(calls) == 2 * sp.n
 
 
-def loop_layer_radii(space, x, k_range=None):
-    """The per-point loop that ``_layer_table`` replaced, kept as the reference."""
-    lo, hi = default_k_range(space) if k_range is None else k_range
-    sd = space.sorted_dist[x]
-    cs = space.csum0[x][1:]
-    out = {}
-    for k in range(lo, hi + 1):
-        idx = int(np.searchsorted(cs, 2.0**k, side="right"))
-        out[k] = math.inf if idx >= space.n else float(sd[idx]) / 2.0
-    return out
-
-
-def loop_hedberg_layer_sum(space, f, alpha):
-    """The per-point loop that ``hedberg_layer_sum`` replaced, kept as the reference."""
-    absfm = np.abs(f) * space.mass
-    lo, hi = default_k_range(space)
-    out = np.empty(space.n)
-    total = float(absfm.sum())
-    for x in range(space.n):
-        sd = space.sorted_dist[x]
-        cf = np.concatenate([[0.0], np.cumsum(absfm[space.order[x]])])
-        radii = loop_layer_radii(space, x, (lo, hi))
-        s = 0.0
-        prev = 0.0
-        for k in range(lo, hi + 1):
-            rk = radii[k]
-            if prev < rk:
-                if math.isinf(rk):
-                    integral = total
-                else:
-                    integral = float(cf[np.searchsorted(sd, rk, side="left")])
-                s += 2.0 ** ((k - 1) * (alpha - 1.0)) * integral
-            prev = rk
-        out[x] = s
-    return out
-
-
 class TestLayerTable:
-    def test_layers_equal_per_point_loops_bitwise(self):
-        for i, sp in enumerate(reference_spaces()):
-            lo, hi = default_k_range(sp)
-            for k_range in ((lo, hi), (lo - 2, hi + 2), (-3, 3)):
-                table = _layer_table(sp, *k_range)
-                for x in range(sp.n):
-                    assert table[x].tolist() == list(loop_layer_radii(sp, x, k_range).values()), (i, k_range, x)
-            g = np.random.default_rng(i + 700)
-            fs = [g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.3, 2.0, 0.0), np.zeros(sp.n)]
-            for f in fs:
-                for alpha in (0.125, 0.25, 0.5):
-                    assert np.array_equal(hedberg_layer_sum(sp, f, alpha), loop_hedberg_layer_sum(sp, f, alpha)), (i, alpha)
-
     def test_reference_gaussian_grid_has_151_layers(self):
         lo, hi = default_k_range(generate_space(SpaceSpec("gaussian-grid", n=256, dim=1, halfwidth=10.0)))
         assert hi - lo + 1 == 151

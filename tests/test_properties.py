@@ -13,14 +13,11 @@ from hypothesis import strategies as st
 
 from morrey_lab import theorems
 from morrey_lab.functions import lq_norm, morrey_norm
-from morrey_lab.operators import (
-    fractional_integral,
-    hedberg_constant,
-    hedberg_layer_sum,
-    maximal,
-)
+from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import doubling_ratio, validate_space
 from morrey_lab.theorems import Values, check_T1_weak_maximal, enumerate_balls, gamma_grid
+
+from conftest import hedberg_layer_sum
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 

@@ -11,7 +11,7 @@ from morrey_lab.functions import ExponentSet, level_masses, lq_norm, morrey_norm
 from morrey_lab.generators import SPACE_FAMILIES, SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.rng import sample_indices
-from morrey_lab.space import MetricMeasureSpace
+from morrey_lab.space import MetricMeasureSpace, doubling_ratio
 from morrey_lab.theorems import (
     CHECK_IDS,
     CheckReport,
@@ -464,6 +464,38 @@ class TestHubAndSpoke:
         assert (t1 > 4.0) == (N == 128)
         for ratio in self.brute_force(space, f, balls, gammas, 2.0, 2.0):
             assert abs(ratio - 1.0) <= self.ULPS
+
+    def test_constants_do_not_grow_with_the_doubling_ratio(self):
+        """The paper's point: constants free of the doubling constant.  At
+        (p, q, alpha) = (2, 1.5, 0.25), the exact maximum of T2, T3, T6 and
+        T7 over four functions (the hub's indicator, one leaf's, the constant
+        and all the leaves') stays at most 1.5 (T3: 2.2) and does not grow
+        from one N to the next, while the doubling ratio N/2 + 1 grows from
+        5 to 257.  They fall from 1.469 to 1.246 (T2), 2.138 to 1.459 (T3),
+        1.464 to 1.208 (T6) and 1.116 to 1.003 (T7).  T3 takes every
+        right-limit ball and every level ``nextafter(v, 0)`` below a value v
+        of I_alpha f, so its maximum is exact too."""
+        exps = ExponentSet.from_pqa(2.0, 1.5, 0.25)
+        bounds = {"T2": 1.5, "T3": 2.2, "T6": 1.5, "T7": 1.5}
+        previous = bounds
+        for N in (8, 32, 128, 512):
+            space, _, balls, _ = self.instance(N)
+            assert doubling_ratio(space)[0] == N / 2 + 1
+            e = np.eye(N + 1)
+            worst = dict.fromkeys(bounds, 0.0)
+            for f in (e[0], e[1], np.ones(N + 1), 1.0 - e[0]):
+                v = Values(space, f)
+                levels = np.nextafter(np.unique(v.of(fractional_integral, exps.alpha, 2.0)), 0.0)
+                constants = {
+                    "T2": check_T2_hedberg(space, v, exps.p, exps.alpha).empirical_constant,
+                    "T3": float(theorems._t3_table(space, v, balls, exps, levels).empirical_constant.max()),
+                    "T6": check_T6_strong(space, v, exps).empirical_constant,
+                    "T7": check_T7_maximal_morrey(space, v, exps.p, exps.q).empirical_constant,
+                }
+                worst = {key: max(worst[key], c) for key, c in constants.items()}
+            for key, bound in bounds.items():
+                assert worst[key] <= min(bound, previous[key]), (N, key, worst[key])
+            previous = worst
 
 
 class TestScalingInvariance:
