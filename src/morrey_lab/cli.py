@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import gc
 import io
 import itertools
@@ -34,6 +33,14 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
+
+try:  # CPython's own SHA-256, as in rng: hashlib would also load OpenSSL's libcrypto
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -443,7 +450,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         "config": cfg.raw,
         "environment": {
             "tool_version": __version__,
-            "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+            "config_sha256": sha256(config_bytes).hexdigest(),
         },
         "records": records,
         "estimates": estimates,

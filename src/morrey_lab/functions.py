@@ -77,7 +77,9 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
     e = 1.0 / p - 1.0 / q  # <= 0
-    vals = space.dilated_measure(k) ** e * space.cumulative(np.abs(f) ** q * space.mass) ** (1.0 / q)
+    vals = space.cumulative(np.abs(f) ** q * space.mass)
+    vals **= 1.0 / q
+    vals *= space.dilated_measure(k) ** e
     return float(vals.max(initial=0.0))
 
 

@@ -22,7 +22,9 @@ def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
     if k < 1.0:
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
-    return (space.cumulative(np.abs(f) * space.mass) / space.dilated_measure(k)).max(axis=1, initial=0.0)
+    ratio = space.cumulative(np.abs(f) * space.mass)
+    ratio /= space.dilated_measure(k)
+    return ratio.max(axis=1, initial=0.0)
 
 
 def fractional_integral(space: MetricMeasureSpace, f, alpha: float, kappa: float = 2.0) -> np.ndarray:
@@ -38,7 +40,9 @@ def fractional_integral(space: MetricMeasureSpace, f, alpha: float, kappa: float
     f = as_function(space, f)
     km = np.empty((space.n, space.n))
     np.put_along_axis(km, space.order, space.dilated_measure(kappa), axis=1)  # back to natural order
-    return np.sum(f * space.mass * km ** (alpha - 1.0), axis=1)
+    km **= alpha - 1.0
+    km *= f * space.mass
+    return np.sum(km, axis=1)
 
 
 def hedberg_constant(p: float, alpha: float) -> float:

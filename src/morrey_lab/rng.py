@@ -8,11 +8,14 @@ platforms and processes; no hidden generator state exists anywhere.
 
 from __future__ import annotations
 
-import hashlib
+try:  # CPython's own BLAKE2b; hashlib would also load OpenSSL's libcrypto (about 3.4 MiB)
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 
 def u64(seed: int, *indices: int) -> int:
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update(int(seed).to_bytes(8, "little", signed=False))
     for ix in indices:
         h.update(int(ix).to_bytes(8, "little", signed=True))

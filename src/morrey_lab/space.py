@@ -110,7 +110,8 @@ class MetricMeasureSpace:
         tied distance for the exact ball value; earlier duplicates give
         partial sums that never exceed it).
         """
-        return np.cumsum(np.asarray(weights, dtype=float)[self.order], axis=1)
+        table = np.asarray(weights, dtype=float)[self.order]
+        return np.cumsum(table, axis=1, out=table)
 
 
 def find_violations(dist, mass) -> list[Violation]:

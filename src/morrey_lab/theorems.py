@@ -97,6 +97,24 @@ def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: i
     return np.geomspace(lo * base, hi * base, count)
 
 
+_BALL_SLICE = 64  # centers whose candidate radii are counted at a time
+
+
+def _radius_rows(space: MetricMeasureSpace, rows, diam: float):
+    """The sorted candidate radii of the centers ``rows`` (d(a, y) * {0.5, 1,
+    1.5}, or 1 on a zero-diameter space) and the mask of the positive ones
+    that differ from their left neighbour."""
+    sd = space.sorted_dist[rows]
+    if diam == 0.0:
+        radii = np.ones((len(sd), 1))
+    else:
+        radii = np.concatenate([sd * 0.5, sd, np.minimum(sd * 1.5, diam)], axis=1)  # only 1.5 d can pass the cap
+        radii.sort(axis=1)
+    keep = radii > 0.0
+    keep[:, 1:] &= radii[:, 1:] != radii[:, :-1]
+    return radii, keep
+
+
 def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -> list[tuple[int, float]]:
     """Deterministic (center, radius) pairs covering the ball quantifier.
 
@@ -104,27 +122,26 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     capped at the diameter, deduplicated, then a seeded uniform sample of
     at most ``limit`` pairs (``rng.sample_indices``).  The kept pairs stay
     in enumeration order: by center, then by increasing radius.  Only they
-    become Python ``(int, float)`` tuples.
+    become Python ``(int, float)`` tuples.  The radii are counted
+    ``_BALL_SLICE`` centers at a time, and only the sampled centers' rows
+    are built, so no (n x 3n) table is held for a sample.
     """
     diam = space.diameter
-    if diam == 0.0:
-        radii = np.ones((space.n, 1))
-    else:
-        sd = space.sorted_dist
-        radii = np.concatenate([sd * 0.5, sd, np.minimum(sd * 1.5, diam)], axis=1)  # only 1.5 d can pass the cap
-        radii.sort(axis=1)
-    keep = radii > 0.0  # and the first of equal radii in a row
-    keep[:, 1:] &= radii[:, 1:] != radii[:, :-1]
-    counts = np.count_nonzero(keep, axis=1)
+    slices = (slice(a, a + _BALL_SLICE) for a in range(0, space.n, _BALL_SLICE))
+    counts = np.concatenate([np.count_nonzero(_radius_rows(space, rows, diam)[1], axis=1) for rows in slices])
     if counts.sum() <= limit:
-        centers, cols = np.nonzero(keep)
+        radii, keep = _radius_rows(space, slice(None), diam)
+        rows, cols = np.nonzero(keep)
+        centers = rows
     else:  # a sampled flat index is (center, rank among the center's radii)
         flat = np.array(sample_indices(int(counts.sum()), limit, seed))
         ends = np.cumsum(counts)
         centers = np.searchsorted(ends, flat, side="right")
         ranks = flat - (ends - counts)[centers]
-        cols = np.count_nonzero(np.cumsum(keep[centers], axis=1) <= ranks[:, None], axis=1)
-    return list(zip(centers.tolist(), radii[centers, cols].tolist()))
+        radii, keep = _radius_rows(space, centers, diam)  # a row per sampled pair
+        rows = np.arange(centers.size)
+        cols = np.count_nonzero(np.cumsum(keep, axis=1) <= ranks[:, None], axis=1)
+    return list(zip(centers.tolist(), radii[rows, cols].tolist()))
 
 
 def _ball_sides(space, values, balls, gammas, p):

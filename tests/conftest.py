@@ -15,7 +15,9 @@ import math
 
 import numpy as np
 
+from morrey_lab.functions import morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_space
+from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.space import MetricMeasureSpace, validate_space
 
 
@@ -168,3 +170,53 @@ def brute_doubling(space, count=10_000):
         den = space.closed_measure(x, radii)
         best = max(best, float((num / den).max()))
     return best
+
+
+# Each operator as one expression with fresh n x n temporaries, the
+# reference for the library's forms, which reuse their temporaries in place.
+# The values must be equal bit for bit: an elementwise ufunc writing into its
+# own input gives the same doubles, and a product is the same in either order.
+
+
+def expression_cumulative(space, weights):
+    return np.cumsum(np.asarray(weights, dtype=float)[space.order], axis=1)
+
+
+def expression_maximal(space, f, k):
+    return (expression_cumulative(space, np.abs(f) * space.mass) / space.dilated_measure(k)).max(axis=1, initial=0.0)
+
+
+def expression_fractional_integral(space, f, alpha, kappa):
+    km = np.empty((space.n, space.n))
+    np.put_along_axis(km, space.order, space.dilated_measure(kappa), axis=1)
+    return np.sum(f * space.mass * km ** (alpha - 1.0), axis=1)
+
+
+def expression_morrey_norm(space, f, p, q, k):
+    e = 1.0 / p - 1.0 / q
+    vals = space.dilated_measure(k) ** e * expression_cumulative(space, np.abs(f) ** q * space.mass) ** (1.0 / q)
+    return float(vals.max(initial=0.0))
+
+
+def assert_operators_equal_expression_forms(space, f):
+    """``cumulative``, ``maximal``, ``fractional_integral`` and
+    ``morrey_norm`` of f equal their one-expression forms bit for bit at
+    the corpus's dilations and exponents, and every cached
+    ``dilated_measure`` table stays read-only and unchanged."""
+    f = np.asarray(f, dtype=float)
+    dilations = (1.0, 1.5, 2.0, 6.0)
+    for k in dilations:
+        space.dilated_measure(k)
+    before = {k: table.copy() for k, table in space._dilated.items()}
+    w = np.abs(f) * space.mass
+    assert np.array_equal(space.cumulative(w), expression_cumulative(space, w))
+    for k in dilations:
+        assert np.array_equal(maximal(space, f, k), expression_maximal(space, f, k)), k
+        for p, q in ((2.0, 1.0), (4.0, 1.0), (2.0, 1.5), (4.0, 2.0), (2.0, 2.0)):
+            assert morrey_norm(space, f, p, q, k) == expression_morrey_norm(space, f, p, q, k), (k, p, q)
+        for alpha in (0.125, 0.25, 0.5):
+            got = fractional_integral(space, f, alpha, kappa=k)
+            assert np.array_equal(got, expression_fractional_integral(space, f, alpha, k)), (k, alpha)
+    assert space._dilated.keys() == before.keys()
+    for k, table in space._dilated.items():
+        assert not table.flags.writeable and np.array_equal(table, before[k]), k

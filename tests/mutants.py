@@ -86,6 +86,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "rng-hashlib-blake2b",
+        "rng.py",
+        "from _blake2 import blake2b",
+        "from hashlib import blake2b",
+        ("tests/test_cli.py::TestBuiltinHashes::test_run_does_not_load_openssl",),
+    ),
+    Mutant(
         "t2-ignores-kappa",
         "theorems.py",
         "pot = v.of(fractional_integral, alpha, kappa)",
@@ -220,8 +227,8 @@ MUTANTS = (
     Mutant(
         "balls-rank-off-by-one",
         "theorems.py",
-        "np.cumsum(keep[centers], axis=1) <= ranks[:, None]",
-        "np.cumsum(keep[centers], axis=1) < ranks[:, None]",
+        "np.cumsum(keep, axis=1) <= ranks[:, None]",
+        "np.cumsum(keep, axis=1) < ranks[:, None]",
         ("tests/test_theorems.py::TestEnumeration::test_matches_per_center_loop",),
     ),
     Mutant(

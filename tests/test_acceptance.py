@@ -296,6 +296,13 @@ def test_criterion_7_extremal_dominance_and_determinism(capsys):
         assert res.best_ratio == again.best_ratio
         np.testing.assert_array_equal(res.argmax_f, again.argmax_f)
         assert res.trace == again.trace
+    # The sharp T1 and weakL1 constant of a finite space is 1
+    # (tests/test_theorems.py::TestSharpConstant), so no estimate exceeds it.
+    ulps = 3 * np.spacing(1.0)
+    short = OptimizerConfig(seed=13, restarts=2, max_iters=48)
+    for check in ("T1", "weakL1"):
+        res = estimate_constant(sp, check, exps, short)
+        assert 0.0 < res.best_ratio <= 1.0 + ulps, (check, res.best_ratio)
     with capsys.disabled():
         print("\nACCEPTANCE 7 (extremal dominance and determinism): PASS")
 

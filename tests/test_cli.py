@@ -1,10 +1,14 @@
 import csv
 import errno
+import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1138,6 +1142,41 @@ class TestSharedWork:
         }
         assert report["verdict"] == recount and code == 1
         assert recount["pass"] > 0 and recount["fail"] == 2 and recount["errors"] == len(CHECK_IDS)
+
+
+def _builtin(name):
+    return importlib.util.find_spec(name) is not None
+
+
+class TestBuiltinHashes:
+    """A run hashes with CPython's built-in BLAKE2b and SHA-256 modules:
+    ``hashlib`` would also load OpenSSL's libcrypto, about a tenth of a
+    run's peak RSS.  The digests are hashlib's."""
+
+    @pytest.mark.skipif(
+        not _builtin("_blake2") or not (_builtin("_sha2") or _builtin("_sha256")),
+        reason="this interpreter lacks the built-in hash modules; a run falls back to hashlib",
+    )
+    def test_run_does_not_load_openssl(self, tmp_path):
+        """``python -m morrey_lab.cli --quiet run`` in a fresh interpreter
+        leaves ``_hashlib`` out of ``sys.modules`` to the end."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: print('_hashlib' in sys.modules))\n"
+            f"sys.argv = ['morrey-lab', '--quiet', 'run', {cfg!r}]\n"
+            "runpy.run_module('morrey_lab.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_config_sha256_is_hashlib_sha256(self):
+        report, _ = cli.run(parse_config(BASE_CONFIG))
+        want = hashlib.sha256(json.dumps(BASE_CONFIG, sort_keys=True).encode()).hexdigest()
+        assert report["environment"]["config_sha256"] == want
 
 
 class TestShippedCorpus:

@@ -1,14 +1,18 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
-from morrey_lab.generators import SpaceSpec, generate_space
+from morrey_lab.generators import SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import MetricMeasureSpace
 
 from conftest import (
+    assert_operators_equal_expression_forms,
     brute_maximal,
     default_k_range,
     hedberg_layer_sum,
@@ -286,6 +290,20 @@ class TestDilatedTable:
             table[0, 0] = 0.0
         sp.dilated_measure(6.0)
         assert len(calls) == 2 * sp.n
+
+
+class TestInPlaceTemporaries:
+    def test_corpus_values_equal_expression_forms(self):
+        """The operators reuse their n x n temporaries in place; on every
+        corpus (space, function) their values stay those of the
+        one-expression forms, and the cached tables are untouched."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+            cfg = parse_config(json.load(fh))
+        for _, sspec in cfg.spaces:
+            sp = generate_space(sspec)
+            for _, fspec in cfg.functions:
+                assert_operators_equal_expression_forms(sp, generate_function(sp, fspec))
 
 
 class TestLayerTable:

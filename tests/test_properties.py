@@ -17,7 +17,7 @@ from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import doubling_ratio, validate_space
 from morrey_lab.theorems import Values, check_T1_weak_maximal, enumerate_balls, gamma_grid
 
-from conftest import hedberg_layer_sum
+from conftest import assert_operators_equal_expression_forms, hedberg_layer_sum
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -67,6 +67,12 @@ def test_layer_sum_between_potential_and_hedberg_bound(sp_f, pa):
     norm = morrey_norm(sp, f, p, 1.0, 2.0)
     upper = hedberg_constant(p, alpha) * mf ** (1.0 - p * alpha) * norm ** (p * alpha)
     assert np.all(lsum <= upper * (1 + 1e-12))
+
+
+@SETTINGS
+@given(space_and_function())
+def test_operators_equal_expression_forms(sp_f):
+    assert_operators_equal_expression_forms(*sp_f)
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,15 @@ def loop_sample_indices(count, limit, seed):
         t = u64(seed, 0x464C, j) % (j + 1)
         chosen.append(j if t in chosen else t)
     return sorted(chosen)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("indices", [(), (0,), (-1, 0x464C, 2**40), (3, 2, 1, 0)])
+def test_u64_is_hashlib_blake2b(seed, indices):
+    """``u64`` takes BLAKE2b from CPython's ``_blake2``; its digests are
+    hashlib's over the concatenated 8-byte words."""
+    data = seed.to_bytes(8, "little") + b"".join(ix.to_bytes(8, "little", signed=True) for ix in indices)
+    assert u64(seed, *indices) == int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ def small_corpus():
         f = np.random.default_rng(seed + 800).uniform(0, 2, sp.n)
         out.append((sp, f))
     return out
+
+
+def sliced_spaces():
+    """Spaces with more centers than one slice of ``enumerate_balls``."""
+    return [generate_space(SpaceSpec("random-points", n=n, dim=2, seed=s)) for n in (150, 200) for s in (1, 2)]
 
 
 class TestEnumeration:
@@ -89,6 +95,7 @@ class TestEnumeration:
             generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
             generate_space(SpaceSpec("ultrametric-tree", depth=3)),
             generate_space(SpaceSpec("grid", n=1)),
+            *sliced_spaces(),
         ]
         for sp in spaces:
             for limit in (64, 10**9):
@@ -125,11 +132,29 @@ class TestEnumeration:
             generate_space(SpaceSpec("grid", n=16, dim=1, halfwidth=0.5)),
             MetricMeasureSpace(np.zeros((3, 3)), np.ones(3)),  # zero diameter
             random_space(5, n=12),
+            *sliced_spaces(),
         ]
         for sp in spaces:
             for limit in (1, 8, 64, 10**9):
                 for seed in (0, 7, 20260823):
                     assert enumerate_balls(sp, limit, seed) == reference(sp, limit, seed)
+
+    def test_sample_holds_no_full_radius_table(self):
+        """The radii are counted a slice of centers at a time and only the
+        sampled centers' rows are built: at n = 512 the traced peak of a
+        64-ball sample stays under half of the (n x 3n) float64 table."""
+        g = np.random.default_rng(3)
+        n = 512
+        pts = g.uniform(-1.0, 1.0, (n, 2))
+        sp = MetricMeasureSpace(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)), g.uniform(0.1, 2.0, n))
+        tracemalloc.start()
+        try:
+            balls = enumerate_balls(sp, limit=64, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(balls) == 64
+        assert peak < n * 3 * n * 8 / 2
 
     def test_pairs_are_python_scalars(self):
         """A numpy scalar would break json.dump or change the params bytes."""
