@@ -34,14 +34,6 @@ import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 
-try:  # CPython's own SHA-256, as in rng: hashlib would also load OpenSSL's libcrypto
-    from _sha2 import sha256  # 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
 import numpy as np
 
 from . import __version__, rng
@@ -450,7 +442,7 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         "config": cfg.raw,
         "environment": {
             "tool_version": __version__,
-            "config_sha256": sha256(config_bytes).hexdigest(),
+            "config_sha256": rng.sha256(config_bytes).hexdigest(),
         },
         "records": records,
         "estimates": estimates,

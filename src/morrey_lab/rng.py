@@ -8,10 +8,19 @@ platforms and processes; no hidden generator state exists anywhere.
 
 from __future__ import annotations
 
-try:  # CPython's own BLAKE2b; hashlib would also load OpenSSL's libcrypto (about 3.4 MiB)
+# CPython's own BLAKE2b and SHA-256 (``cli`` hashes the config with it):
+# hashlib would also load OpenSSL's libcrypto, about 3.4 MiB of a run.
+try:
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def u64(seed: int, *indices: int) -> int:

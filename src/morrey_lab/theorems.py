@@ -131,17 +131,15 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     counts = np.concatenate([np.count_nonzero(_radius_rows(space, rows, diam)[1], axis=1) for rows in slices])
     if counts.sum() <= limit:
         radii, keep = _radius_rows(space, slice(None), diam)
-        rows, cols = np.nonzero(keep)
-        centers = rows
-    else:  # a sampled flat index is (center, rank among the center's radii)
-        flat = np.array(sample_indices(int(counts.sum()), limit, seed))
-        ends = np.cumsum(counts)
-        centers = np.searchsorted(ends, flat, side="right")
-        ranks = flat - (ends - counts)[centers]
-        radii, keep = _radius_rows(space, centers, diam)  # a row per sampled pair
-        rows = np.arange(centers.size)
-        cols = np.count_nonzero(np.cumsum(keep, axis=1) <= ranks[:, None], axis=1)
-    return list(zip(centers.tolist(), radii[rows, cols].tolist()))
+        return list(zip(np.nonzero(keep)[0].tolist(), radii[keep].tolist()))
+    # a sampled flat index is (center, rank among the center's radii)
+    flat = np.array(sample_indices(int(counts.sum()), limit, seed))
+    ends = np.cumsum(counts)
+    centers = np.searchsorted(ends, flat, side="right")
+    ranks = flat - (ends - counts)[centers]
+    radii, keep = _radius_rows(space, centers, diam)  # a row per sampled pair
+    cols = np.count_nonzero(np.cumsum(keep, axis=1) <= ranks[:, None], axis=1)
+    return list(zip(centers.tolist(), radii[np.arange(centers.size), cols].tolist()))
 
 
 def _ball_sides(space, values, balls, gammas, p):
