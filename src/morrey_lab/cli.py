@@ -11,11 +11,10 @@ significant digits, and logging goes to stderr only.
 
 ``run`` keeps each check call's table (see ``theorems``) as one record
 block: the values its rows share, and its float64 arrays and bool pass
-flags as columns.  ``write_report`` formats each distinct double of a run
-of blocks once, by its bits, giving the bytes of ``json.dumps(indent=2)``
-and of ``csv.writer``, and joins a block's rows from its fixed texts, which
-hold every shared value, and its columns' texts.  ``report`` re-renders
-the CSV of a ``report.json`` through ``csv.writer``.
+flags as columns.  ``write_report`` writes a block at a time, formatting
+each of its distinct doubles once, and gives the bytes of
+``json.dumps(indent=2)`` and of ``csv.writer``.  ``report`` re-renders the
+CSV of a ``report.json`` through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import csv
 import functools
 import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -253,6 +251,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             )
         else:
             raise ConfigError(f"checks[{i}]: expected a check id or an estimate/sweep request")
+    per_triple = sorted(set(checks) - {"weakL1"})  # every check but weakL1 runs once per exponent triple
+    if per_triple and not exponents:
+        raise ConfigError(f"checks {per_triple} need at least one [p, q, alpha] triple in exponents")
 
     gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": GAMMA_LO, "hi": GAMMA_HI, "count": GAMMA_COUNT})
     gamma_lo = _coerce("gamma_grid", "lo", float, gg["lo"])
@@ -454,7 +455,6 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
 
 
 _WRITE_ROWS = 256  # rows per write call, so no write holds a whole large block
-_RUN_CELLS = 1 << 12  # float64 cells whose doubles are pooled at a time, which bounds the pool's memory
 # "error" is not in CSV_COLUMNS: a JSON record has an "error" key only when it
 # could not be evaluated, which is how run() counts errors.
 _CSV_ALL_COLUMNS = [*CSV_COLUMNS, "error"]
@@ -470,7 +470,7 @@ def _csv_field(text: str) -> str:
 
 
 def _json_text(value) -> str:
-    """A shared value as ``json.dumps`` prints it."""
+    """A value of a record as ``json.dumps`` prints it."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
@@ -487,54 +487,29 @@ def _row(start: str, fields: list, sep: str, end: str) -> list:
     return row
 
 
-def _json_row(texts: dict) -> list:
-    """A row as ``json.dumps(indent=2)`` prints records two levels deep,
-    led by its separator; records are flat and keyed by strings."""
-    fields = [(encode_basestring_ascii(key) + ": ", texts[key]) for key in sorted(texts)]
-    return _row(",\n    {\n      ", fields, ",\n      ", "\n    }") if fields else [",\n    {}"]
-
-
-def _csv_row(texts: dict) -> list:
-    return _row("", [("", texts.get(column, "")) for column in _CSV_ALL_COLUMNS], ",", "\n")
-
-
-def _array_texts(arrays: list) -> list:
-    """Per array of the float64 ``arrays``, its JSON and CSV cell texts: each
-    distinct double of the pool, told apart by its bits, is formatted once."""
-    values = np.concatenate(arrays)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    floats = bits.view(np.float64).tolist()
-    json_texts = [float.__repr__(v) if math.isfinite(v) else json.dumps(v) for v in floats]
-    cells = [np.array(texts, dtype=object)[inverse].tolist() for texts in (json_texts, ["%.17g" % v for v in floats])]
-    bounds = np.cumsum([0, *map(len, arrays)]).tolist()
-    return [tuple(c[i:j] for c in cells) for i, j in zip(bounds, bounds[1:])]
-
-
-def _float_columns(columns: dict) -> list:
-    """A block's float64 columns; every other column must be a bool array."""
+def _block_rows(shared: dict, columns: dict) -> tuple:
+    """A block's JSON row, led by its separator, and its CSV row (``_row``).
+    A shared value has one text per file (``_json_text``; ``_csv_field`` of
+    its ``_fmt``).  Each distinct double of the float64 columns is formatted
+    once: equal bits are the same double.  A bool column prints ``true``
+    and ``false`` in both files."""
     if not all(isinstance(c, np.ndarray) and c.dtype in (np.float64, np.bool_) for c in columns.values()):
         raise TypeError(f"record columns must be float64 or bool arrays: {sorted(columns)}")
-    return [c for c in columns.values() if c.dtype == np.float64]
-
-
-def _block_texts(blocks: list):
-    """Per block, its JSON and CSV ``{key: texts}``: a text per shared value
-    (``_json_text``; ``_csv_field`` of its ``_fmt``) and a list per column.
-    The float64 columns of a run of blocks of about ``_RUN_CELLS`` cells are
-    pooled (``_array_texts``); a bool column prints ``true`` and ``false``
-    in both files."""
-    sizes = (sum(c.size for c in _float_columns(columns)) for _, columns in blocks)
-    for _, run in itertools.groupby(zip(itertools.accumulate(sizes, initial=0), blocks),
-                                    lambda cells_block: cells_block[0] // _RUN_CELLS):
-        run = [block for _, block in run]
-        arrays = [c for _, columns in run for c in _float_columns(columns)]
-        pooled = iter(_array_texts(arrays) if arrays else [])
-        for shared, columns in run:
-            texts = {key: (_json_text(v), _csv_field(_fmt(v))) for key, v in shared.items()}
-            for key, c in columns.items():
-                flags = list(map(("false", "true").__getitem__, c.tolist())) if c.dtype == bool else None
-                texts[key] = next(pooled) if flags is None else (flags, flags)
-            yield {key: t for key, (t, _) in texts.items()}, {key: t for key, (_, t) in texts.items()}
+    texts = {key: (_json_text(v), _csv_field(_fmt(v))) for key, v in shared.items()}
+    for key, c in columns.items():
+        if c.dtype == np.bool_:
+            texts[key] = (list(map(("false", "true").__getitem__, c.tolist())),) * 2
+    floats = [key for key, c in columns.items() if c.dtype == np.float64]
+    if floats:
+        values = np.array([columns[key] for key in floats])  # equally long, or a ValueError
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        doubles = bits.view(np.float64).tolist()
+        cells = [np.array(t, dtype=object)[inverse.reshape(len(floats), -1)].tolist()
+                 for t in (list(map(_json_text, doubles)), ["%.17g" % v for v in doubles])]
+        texts.update(zip(floats, zip(*cells)))
+    fields = [(encode_basestring_ascii(key) + ": ", texts[key][0]) for key in sorted(texts)]
+    json_row = _row(",\n    {\n      ", fields, ",\n      ", "\n    }") if fields else [",\n    {}"]
+    return json_row, _row("", [("", texts[key][1] if key in texts else "") for key in _CSV_ALL_COLUMNS], ",", "\n")
 
 
 def _chunks(blocks: list):
@@ -542,9 +517,9 @@ def _chunks(blocks: list):
     block is ``(shared, columns)``: the values all its rows share, by key,
     and equally long float64 or bool array columns; without columns it is
     one row.  A chunk is the row repeated, each column's texts sliced in."""
-    for (_, columns), (json_texts, csv_texts) in zip(blocks, _block_texts(blocks)):
+    for shared, columns in blocks:
+        rows = _block_rows(shared, columns)
         n = len(next(iter(columns.values()))) if columns else 1
-        rows = _json_row(json_texts), _csv_row(csv_texts)
         for i in range(0, n, _WRITE_ROWS):
             chunks = []
             for row in rows:
@@ -567,10 +542,11 @@ def write_report(report: dict, out_dir: str):
     """Write ``report.json`` and ``records.csv`` into ``out_dir``.
 
     The bytes are those of the rows that the blocks of ``report["records"]``
-    (``_chunks``) expand to: ``report.json`` is ``json.dumps(report,
+    expand to (``_chunks``): ``report.json`` is ``json.dumps(report,
     sort_keys=True, indent=2)`` plus a newline, and ``records.csv`` what
-    ``csv.writer`` prints for the ``_fmt`` of every cell.  Equal bits are the
-    same double, so pooling float64 columns by bits is exact.
+    ``csv.writer`` prints for the ``_fmt`` of every cell.  The rows go in
+    where the top-level ``"records"`` key stands in one ``json.dumps`` of
+    the rest.
 
     Both files are written under temporary names in ``out_dir``, renamed into
     place once both are complete, and removed on any exception before that:
@@ -579,22 +555,20 @@ def write_report(report: dict, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
     names = ("report.json", "records.csv")
     temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names]
+    # Only a top-level key starts a line two spaces in: json.dumps escapes
+    # the newlines and quotes of strings, and indents nested keys further.
+    anchor = '\n  "records": []'
+    head, tail = json.dumps({**report, "records": []}, sort_keys=True, indent=2).split(anchor)
     try:
         with open(temps[0], "w", encoding="utf-8") as fh, open(temps[1], "w", encoding="utf-8") as fc:
             fc.write(_CSV_HEADER)
-            fh.write("{")
-            for i, key in enumerate(sorted(report)):
-                fh.write(("," if i else "") + "\n  " + json.dumps(key) + ": ")
-                if key != "records":
-                    fh.write(json.dumps(report[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-                    continue
-                lead = "["  # in place of the first row's ","
-                for json_rows, csv_rows in _chunks(report[key]):
-                    fh.write(lead + json_rows[1:] if lead else json_rows)
-                    fc.write(csv_rows)
-                    lead = ""
-                fh.write("[]" if lead else "\n  ]")
-            fh.write("\n}\n")
+            fh.write(head + anchor[:-2])
+            lead = "["  # in place of the first row's ","
+            for json_rows, csv_rows in _chunks(report["records"]):
+                fh.write(lead + json_rows[1:] if lead else json_rows)
+                fc.write(csv_rows)
+                lead = ""
+            fh.write(("[]" if lead else "\n  ]") + tail + "\n")
         for temp, name in zip(temps, names):
             os.replace(temp, os.path.join(out_dir, name))
     except BaseException:

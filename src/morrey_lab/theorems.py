@@ -120,26 +120,26 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
 
     All centers a with radii d(a, y) * {0.5, 1, 1.5}, positive and
     capped at the diameter, deduplicated, then a seeded uniform sample of
-    at most ``limit`` pairs (``rng.sample_indices``).  The kept pairs stay
-    in enumeration order: by center, then by increasing radius.  Only they
-    become Python ``(int, float)`` tuples.  The radii are counted
-    ``_BALL_SLICE`` centers at a time, and only the sampled centers' rows
-    are built, so no (n x 3n) table is held for a sample.
+    at most ``limit`` pairs (``rng.sample_indices``: every pair if there
+    are no more).  The kept pairs stay in enumeration order: by center,
+    then by increasing radius.  Only they become Python ``(int, float)``
+    tuples.  The radii are counted ``_BALL_SLICE`` centers at a time, and
+    only the sampled centers' rows are built: at most ``limit`` radius
+    rows, so no (n x 3n) table is held for a sample of fewer centers.
     """
     diam = space.diameter
     slices = (slice(a, a + _BALL_SLICE) for a in range(0, space.n, _BALL_SLICE))
     counts = np.concatenate([np.count_nonzero(_radius_rows(space, rows, diam)[1], axis=1) for rows in slices])
-    if counts.sum() <= limit:
-        radii, keep = _radius_rows(space, slice(None), diam)
-        return list(zip(np.nonzero(keep)[0].tolist(), radii[keep].tolist()))
     # a sampled flat index is (center, rank among the center's radii)
-    flat = np.array(sample_indices(int(counts.sum()), limit, seed))
+    flat = np.array(sample_indices(int(counts.sum()), limit, seed), dtype=int)
     ends = np.cumsum(counts)
     centers = np.searchsorted(ends, flat, side="right")
     ranks = flat - (ends - counts)[centers]
-    radii, keep = _radius_rows(space, centers, diam)  # a row per sampled pair
-    cols = np.count_nonzero(np.cumsum(keep, axis=1) <= ranks[:, None], axis=1)
-    return list(zip(centers.tolist(), radii[np.arange(centers.size), cols].tolist()))
+    rows, row_of = np.unique(centers, return_inverse=True)
+    radii, keep = _radius_rows(space, rows, diam)  # a row per sampled center
+    firsts = np.cumsum(counts[rows]) - counts[rows]  # where each row's kept radii start among all kept
+    cols = np.nonzero(keep)[1][firsts[row_of] + ranks]
+    return list(zip(centers.tolist(), radii[row_of, cols].tolist()))
 
 
 def _ball_sides(space, values, balls, gammas, p):

@@ -122,8 +122,8 @@ MUTANTS = (
     Mutant(
         "report-row-boundary",
         "cli.py",
-        'return _row(",\\n    {\\n      ", fields,',
-        'return _row("\\n    {\\n      ", fields,',
+        'json_row = _row(",\\n    {\\n      ", fields,',
+        'json_row = _row("\\n    {\\n      ", fields,',
         (
             "tests/test_cli.py::TestWriteReport::test_rows_at_batch_edges",
             "tests/test_cli.py::TestWriteReport::test_block_shaped_rows",
@@ -150,16 +150,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "pool-non-finite-repr",
-        "cli.py",
-        "float.__repr__(v) if math.isfinite(v) else json.dumps(v)",
-        "float.__repr__(v)",
-        (
-            "tests/test_cli.py::TestWriteReport::test_array_columns_pool_doubles_by_bits",
-            "tests/test_cli.py::TestWriteReport::test_array_blocks",
-        ),
-    ),
-    Mutant(
         "report-bool-texts-swapped",
         "cli.py",
         '("false", "true").__getitem__',
@@ -174,7 +164,18 @@ MUTANTS = (
         "cli.py",
         "if isinstance(value, float) and math.isfinite(value):",
         "if isinstance(value, float):",
-        ("tests/test_cli.py::TestWriteReport::test_shared_values_keep_type_and_sign",),
+        (
+            "tests/test_cli.py::TestWriteReport::test_shared_values_keep_type_and_sign",
+            "tests/test_cli.py::TestWriteReport::test_array_columns_pool_doubles_by_bits",
+            "tests/test_cli.py::TestWriteReport::test_array_blocks",
+        ),
+    ),
+    Mutant(
+        "report-splice-unanchored",
+        "cli.py",
+        """anchor = '\\n  "records": []'""",
+        """anchor = '"records": []'""",
+        ("tests/test_cli.py::TestWriteReport::test_random_reports",),
     ),
     Mutant(
         "config-int-truncates",
@@ -227,8 +228,8 @@ MUTANTS = (
     Mutant(
         "balls-rank-off-by-one",
         "theorems.py",
-        "np.cumsum(keep, axis=1) <= ranks[:, None]",
-        "np.cumsum(keep, axis=1) < ranks[:, None]",
+        "[firsts[row_of] + ranks]",
+        "[firsts[row_of] + ranks - 1]",
         ("tests/test_theorems.py::TestEnumeration::test_matches_per_center_loop",),
     ),
     Mutant(

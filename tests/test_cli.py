@@ -249,6 +249,18 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith(f"config error: {key}: expected a list")
 
+    @pytest.mark.parametrize("check", ["T1", "T2", "T3", "T6", "T7"])
+    def test_check_without_exponent_triples(self, tmp_path, capsys, check):
+        """A check that runs once per exponent triple, in a config with none,
+        would check nothing and pass; weakL1 alone needs no triple."""
+        code, err = self.run_with(tmp_path, capsys, {"exponents": [], "checks": ["weakL1", check]})
+        assert code == 2
+        assert err.startswith(f"config error: checks ['{check}'] need at least one [p, q, alpha] triple")
+        assert not (tmp_path / "out").exists()
+        code, _ = self.run_with(tmp_path, capsys, {"exponents": [], "checks": ["weakL1"]})
+        assert code == 0
+        assert len((tmp_path / "out" / "records.csv").read_text().splitlines()) > 1
+
     @pytest.mark.parametrize(
         "sweep",
         [
@@ -830,15 +842,17 @@ class TestWriteReport:
         report, code = cli.run(parse_config(dict(BASE_CONFIG, spaces=spaces, checks=["T1", "T6", "T7"])))
         assert code == 3 and report["verdict"]["errors"] == 2
         assert_oracle_bytes(report, tmp_path)
-        for json_texts, csv_texts in cli._block_texts(report["records"]):
-            assert json_texts["space_id"] == '"50%"' and csv_texts["space_id"] == "50%"
-        assert isinstance(json_texts["error"], str) and "100% of %s" in json_texts["error"]
+        for shared, columns in report["records"]:
+            json_row, csv_row = cli._block_rows(shared, columns)
+            assert '\n      "space_id": "50%",' in "".join(json_row[::2])
+            assert csv_row[0].startswith(shared["check_id"] + ",50%,")
+        assert len(json_row) == 1 and '"error": "ValueError: 100% of %s' in json_row[0]
 
     @pytest.mark.parametrize("edge", [cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
     def test_column_constant_in_one_run_varying_in_the_next(self, tmp_path, edge):
         """Blocks of ``_WRITE_ROWS`` rows whose float64 columns hold one
         value in one block and vary in the next, on either side of the block
-        edge, each block a pooling run of its own."""
+        edge: each block formats its own doubles."""
         report, _ = cli.run(parse_config(BASE_CONFIG))
         t1 = [r for r in expand(report["records"]) if r["check_id"] == "T1"]
         size = cli._WRITE_ROWS
@@ -852,13 +866,11 @@ class TestWriteReport:
         for name, varies in (("forward", lambda i: i >= edge), ("backward", lambda i: i < edge)):
             rows = [dict(t1[i % len(t1)], lhs=i / 7) if varies(i) else t1[0] for i in range(2 * size)]
             blocks = [block(k, rows[k * size : (k + 1) * size]) for k in range(2)]
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "_RUN_CELLS", 4 * size)
-                texts = [t for _, t in cli._block_texts(blocks)]
+            csv_rows = [cli._block_rows(*b)[1] for b in blocks]  # function_id in the first fixed text, lhs after gamma
             one_text = [not any(map(varies, range(k * size, (k + 1) * size))) for k in range(2)]
-            assert [t["function_id"] for t in texts] == ["f0%", "f1%"]
-            assert [len(set(t["lhs"])) == 1 for t in texts] == one_text
-            assert [len(t["lhs"]) for t in texts] == [size, size]
+            assert [row[0].split(",")[2] for row in csv_rows] == ["f0%", "f1%"]
+            assert [len(set(row[3])) == 1 for row in csv_rows] == one_text
+            assert [len(row[3]) for row in csv_rows] == [size, size]
             report["records"] = blocks
             out = tmp_path / name
             out.mkdir()
@@ -870,6 +882,14 @@ class TestWriteReport:
         estimates=JSON_VALUES,
         sweeps=JSON_VALUES,
         records=FLAT_ROWS,
+    )
+    # The rows go in at the top-level "records" key alone: a nested
+    # "records": [] and strings holding that key's text stay where they are.
+    @example(
+        config={"nested": {"records": []}, "note": '\n  "records": []', "records": []},
+        estimates=[{"check_id": '\n  "records": []', "records": []}],
+        sweeps={"records": [[]]},
+        records=[{"check_id": "T1", "error": '\n  "records": []'}, {"records": []}],
     )
     def test_random_reports(self, tmp_path_factory, config, estimates, sweeps, records):
         """Arbitrary nested sections, and plain rows as one-row blocks."""
@@ -907,12 +927,10 @@ class TestWriteReport:
             mp.setattr(cli, "_WRITE_ROWS", batch)
             assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
 
-    def test_array_columns_pool_doubles_by_bits(self, tmp_path, monkeypatch):
+    def test_array_columns_pool_doubles_by_bits(self, tmp_path):
         """Float64 array columns holding -0.0 beside 0.0, NaNs, both
-        infinities and the least subnormals, pooled in runs of 8 cells, with
-        0.1 and -0.0 in both runs: the bytes are the oracles', and -0.0
-        keeps its sign."""
-        monkeypatch.setattr(cli, "_RUN_CELLS", 8)
+        infinities and the least subnormals, with 0.1 and -0.0 in two
+        blocks: the bytes are the oracles', and -0.0 keeps its sign."""
         first = {"lhs": np.array([0.0, -0.0, 0.1, 0.0]), "gamma": np.array([math.nan, -math.nan, NAN_PAYLOAD, math.inf])}
         second = {"lhs": np.array([-math.inf, 5e-324, -5e-324, 0.1, -0.0]), "pass": np.array([True, False, True, True, False])}
         blocks = [({"check_id": "T1"}, first), ({"check_id": "T3"}, second), ({"check_id": "T6"}, {"lhs": np.array([])})]
@@ -927,19 +945,19 @@ class TestWriteReport:
         values = [0.0, -0.0, 0, False, 0.0, -0.0, 1, True, 1.0, math.nan, -math.inf, math.inf, "0.0", None, -0.0, np.float64(-0.0), np.float64(0.0)]
         blocks = [({"check_id": "T2", "kappa": v}, {"lhs": np.array([v if type(v) is float else 1.0])}) for v in values]
         assert_oracle_bytes({"records": blocks}, tmp_path)
-        texts = [(j["kappa"], c["kappa"]) for j, c in cli._block_texts(blocks)]
-        assert texts == [(json.dumps(v), cli._csv_field(cli._fmt(v))) for v in values]
+        rows = [cli._block_rows(*block) for block in blocks]  # kappa sits in the first fixed texts
+        assert [json_row[0].split('"kappa": ')[1] for json_row, _ in rows] == [f'{json.dumps(v)},\n      "lhs": ' for v in values]
+        assert [csv_row[0].split(",", 8)[8] for _, csv_row in rows] == [cli._csv_field(cli._fmt(v)) + ",," for v in values]
 
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
-    @given(blocks=array_blocks(), run_cells=st.integers(1, 16), batch=st.integers(1, 8))
-    @example(blocks=[({}, {"x": np.array([0.0, -0.0])}), ({"y": -0.0}, {"x": np.array([-0.0, 0.0, math.nan])})], run_cells=2, batch=1)
-    @example(blocks=[({}, {"x": np.array([math.inf, -math.inf, -math.nan])}), ({}, {"x": np.array([])})], run_cells=1, batch=2)
-    def test_array_blocks(self, tmp_path_factory, blocks, run_cells, batch):
-        """Blocks of float64 array columns, pooled in runs of 1 to 16 cells
-        and written 1 to 8 rows at a time, give the oracles' bytes."""
+    @given(blocks=array_blocks(), batch=st.integers(1, 8))
+    @example(blocks=[({}, {"x": np.array([0.0, -0.0])}), ({"y": -0.0}, {"x": np.array([-0.0, 0.0, math.nan])})], batch=1)
+    @example(blocks=[({}, {"x": np.array([math.inf, -math.inf, -math.nan])}), ({}, {"x": np.array([])})], batch=2)
+    def test_array_blocks(self, tmp_path_factory, blocks, batch):
+        """Blocks of float64 array columns, written 1 to 8 rows at a time,
+        give the oracles' bytes."""
         report = {"config": {}, "records": blocks, "verdict": {}}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_RUN_CELLS", run_cells)
             mp.setattr(cli, "_WRITE_ROWS", batch)
             assert_oracle_bytes(report, tmp_path_factory.mktemp("out"))
 
@@ -988,7 +1006,6 @@ class TestWriteReport:
         before = self.earlier_run(tmp_path, earlier)
         report, _ = cli.run(parse_config(BASE_CONFIG))
         report["records"].append(({"check_id": "T1"}, {"lhs": [0.5]}))
-        monkeypatch.setattr(cli, "_RUN_CELLS", 1)  # a run per block, so the blocks before it are written first
         sizes = []
         monkeypatch.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k), sizes), raising=False)
         with pytest.raises(TypeError, match="float64 or bool arrays"):
