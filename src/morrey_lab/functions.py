@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, row_blocks
 
 
 class ExponentOutOfRange(ValueError):
@@ -77,10 +77,13 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
     e = 1.0 / p - 1.0 / q  # <= 0
-    vals = space.cumulative(np.abs(f) ** q * space.mass)
-    vals **= 1.0 / q
-    vals *= space.dilated_measure(k) ** e
-    return float(vals.max(initial=0.0))
+    w, table, best = np.abs(f) ** q * space.mass, space.dilated_measure(k), 0.0
+    for rows in row_blocks(space.n):
+        vals = space.cumulative(w, rows)
+        vals **= 1.0 / q
+        vals *= table[rows] ** e
+        best = vals.max(initial=best)  # the running maximum, through numpy: a NaN propagates
+    return float(best)
 
 
 def level_masses(space: MetricMeasureSpace, values: np.ndarray, masks: np.ndarray, gammas: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .space import MetricMeasureSpace, validate_space
+from .space import MetricMeasureSpace, row_blocks, validate_space
 
 SPACE_FAMILIES = ("grid", "gaussian-grid", "radial-decay-grid", "ultrametric-tree", "random-points")
 FUNCTION_FAMILIES = ("constant", "ball-indicator", "power-spike", "random-sparse", "random-uniform")
@@ -69,10 +69,11 @@ class FunctionSpec:
 
 
 def _euclidean(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=2))
-    d = np.triu(d, 1)
-    d = d + d.T  # exact symmetry, exact zero diagonal
+    d = np.empty((len(points), len(points)))
+    for rows in row_blocks(len(points)):
+        diff = points[rows, None, :] - points[None, :, :]
+        np.sqrt(np.sum(diff * diff, axis=2), out=d[rows])
+    np.fill_diagonal(d, 0.0)  # exactly symmetric already: x - y == -(y - x) in IEEE arithmetic, inf and NaN too
     return d
 
 

@@ -53,7 +53,9 @@ def sample_indices(count: int, limit: int, seed: int) -> list[int]:
     Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987): for each j in
     [count - limit, count), draw t in [0, j] with
     ``randint_below(seed, j + 1, 0x464C, j)`` and take j if t is already
-    chosen, else t.  It makes one draw per kept index."""
+    chosen, else t.  It makes one draw per kept index, none if it keeps all."""
+    if count <= limit:
+        return list(range(count))
     chosen: set[int] = set()
     for j in range(max(count - limit, 0), count):
         t = randint_below(seed, j + 1, 0x464C, j)

@@ -17,6 +17,13 @@ import numpy as np
 # computed in floating point can miss the exact inequality by a few ulps.
 TRIANGLE_RTOL = 1e-12
 
+_ROWS = 64  # rows of an n x n table that one pass holds at a time
+
+
+def row_blocks(n: int):
+    """Consecutive slices of at most ``_ROWS`` rows that cover range(n)."""
+    return (slice(a, a + _ROWS) for a in range(0, n, _ROWS))
+
 
 class InvalidSpaceError(ValueError):
     def __init__(self, violations):
@@ -44,7 +51,10 @@ class MetricMeasureSpace:
     ``order[x]`` sorts the points by distance from x, ``sorted_dist`` is the
     row-sorted distance matrix and ``csum0[x, j]`` is the mass of the j
     nearest points (leading zero included), so any closed/open ball measure
-    is one searchsorted away.
+    is one searchsorted away.  With ``dist`` these are the four resident
+    n x n tables, plus one per distinct k of ``dilated_measure``, each 8 n^2
+    bytes (0.5 MiB at n = 256, 32 MiB at n = 2048); every other n x n pass
+    holds one ``_ROWS`` x n block of ``row_blocks`` at a time.
     """
 
     dist: np.ndarray
@@ -59,8 +69,9 @@ class MetricMeasureSpace:
         mass = np.ascontiguousarray(np.asarray(self.mass, dtype=float))
         order = np.argsort(dist, axis=1, kind="stable")
         sorted_dist = np.take_along_axis(dist, order, axis=1)
-        csum = np.cumsum(mass[order], axis=1)
-        csum0 = np.concatenate([np.zeros((dist.shape[0], 1)), csum], axis=1)
+        csum0 = np.zeros((dist.shape[0], dist.shape[0] + 1))
+        for rows in row_blocks(dist.shape[0]):
+            np.cumsum(mass[order[rows]], axis=1, out=csum0[rows, 1:])
         for name, arr in (
             ("dist", dist),
             ("mass", mass),
@@ -97,28 +108,30 @@ class MetricMeasureSpace:
         """Read-only T[x, j] = mu(closed ball(x, k * sorted_dist[x, j])), built once per k."""
         table = self._dilated.get(k)
         if table is None:
-            table = np.array([self.closed_measure(x, k * self.sorted_dist[x]) for x in range(self.n)])
+            table = np.empty((self.n, self.n))
+            for x in range(self.n):
+                table[x] = self.closed_measure(x, k * self.sorted_dist[x])
             table.setflags(write=False)
             self._dilated[k] = table
         return table
 
-    def cumulative(self, weights: np.ndarray) -> np.ndarray:
-        """Row x, column j: sum of ``weights`` over the j+1 nearest points of x.
+    def cumulative(self, weights: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Row x of ``rows``, column j: sum of ``weights`` over the j+1 nearest points of x.
 
         With ``weights = |f|**q * mass`` this is the closed-ball integral of
         |f|^q at every candidate radius at once (take the last duplicate of a
         tied distance for the exact ball value; earlier duplicates give
         partial sums that never exceed it).
         """
-        table = np.asarray(weights, dtype=float)[self.order]
+        table = np.asarray(weights, dtype=float)[self.order[rows]]
         return np.cumsum(table, axis=1, out=table)
 
 
 def find_violations(dist, mass) -> list[Violation]:
     """Every violated MetricMeasureSpace invariant, with indices.
 
-    The triangle check takes O(n^3) time and two n x n buffers: row i is expanded into
-    witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
+    The triangle check takes O(n^3) time, one n x n buffer and a row block of low: row i is expanded
+    into witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
     The screen is exact: the slack v + rtol * max(v, 1) is monotone in v, also in floating
     point, and fmin skips NaN sums, which never compare as violations."""
     dist = np.asarray(dist, dtype=float)
@@ -145,13 +158,16 @@ def find_violations(dist, mass) -> list[Violation]:
         if i < j:
             out.append(Violation("Asymmetry", (int(i), int(j))))
     # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack
-    low, buf = np.empty((n, n)), np.empty((n, n))
-    for i in range(n):  # low[i, k]: the least d(i,j) + d(j,k) over j, NaN sums skipped
-        np.fmin.reduce(np.add(dist[i][:, None], dist, out=buf), axis=0, out=low[i])
-    bound = np.maximum(low, 1.0, out=buf)
-    bound *= TRIANGLE_RTOL
-    bound += low
-    for i in np.nonzero(np.any(dist > bound, axis=1))[0].tolist():
+    buf, suspects = np.empty((n, n)), []
+    for rows in row_blocks(n):
+        low = np.empty_like(dist[rows])
+        for i, low_i in enumerate(low, rows.start):  # low_i[k]: the least d(i,j) + d(j,k) over j, NaN sums skipped
+            np.fmin.reduce(np.add(dist[i][:, None], dist, out=buf), axis=0, out=low_i)
+        bound = np.maximum(low, 1.0, out=buf[: len(low)])
+        bound *= TRIANGLE_RTOL
+        bound += low
+        suspects += (rows.start + np.nonzero(np.any(dist[rows] > bound, axis=1))[0]).tolist()
+    for i in suspects:
         via = dist[i][:, None] + dist  # via[j, k]
         viol = dist[i][None, :] > via + TRIANGLE_RTOL * np.maximum(via, 1.0)
         for j, k in np.argwhere(viol):

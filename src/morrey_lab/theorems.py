@@ -27,7 +27,7 @@ import numpy as np
 from .functions import ExponentOutOfRange, ExponentSet, as_function, level_masses, lq_norm, morrey_norm
 from .operators import fractional_integral, hedberg_constant, maximal
 from .rng import sample_indices
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, row_blocks
 
 CHECK_IDS = ("T1", "T2", "T3", "T6", "T7", "weakL1")
 BALL_CHECKS = ("T1", "T3")  # the checks that quantify over enumerate_balls
@@ -97,9 +97,6 @@ def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: i
     return np.geomspace(lo * base, hi * base, count)
 
 
-_BALL_SLICE = 64  # centers whose candidate radii are counted at a time
-
-
 def _radius_rows(space: MetricMeasureSpace, rows, diam: float):
     """The sorted candidate radii of the centers ``rows`` (d(a, y) * {0.5, 1,
     1.5}, or 1 on a zero-diameter space) and the mask of the positive ones
@@ -123,13 +120,12 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     at most ``limit`` pairs (``rng.sample_indices``: every pair if there
     are no more).  The kept pairs stay in enumeration order: by center,
     then by increasing radius.  Only they become Python ``(int, float)``
-    tuples.  The radii are counted ``_BALL_SLICE`` centers at a time, and
-    only the sampled centers' rows are built: at most ``limit`` radius
-    rows, so no (n x 3n) table is held for a sample of fewer centers.
+    tuples.  The radii are counted a ``row_blocks`` block of centers at a
+    time, and only the sampled centers' rows are built: at most ``limit``
+    radius rows, so no (n x 3n) table is held for a sample of fewer centers.
     """
     diam = space.diameter
-    slices = (slice(a, a + _BALL_SLICE) for a in range(0, space.n, _BALL_SLICE))
-    counts = np.concatenate([np.count_nonzero(_radius_rows(space, rows, diam)[1], axis=1) for rows in slices])
+    counts = np.concatenate([np.count_nonzero(_radius_rows(space, r, diam)[1], axis=1) for r in row_blocks(space.n)])
     # a sampled flat index is (center, rank among the center's radii)
     flat = np.array(sample_indices(int(counts.sum()), limit, seed), dtype=int)
     ends = np.cumsum(counts)

@@ -173,7 +173,8 @@ def brute_doubling(space, count=10_000):
 
 
 # Each operator as one expression with fresh n x n temporaries, the
-# reference for the library's forms, which reuse their temporaries in place.
+# reference for the library's forms, which work one block of rows at a time
+# and reuse its temporaries in place.
 # The values must be equal bit for bit: an elementwise ufunc writing into its
 # own input gives the same doubles, and a product is the same in either order.
 

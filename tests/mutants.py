@@ -34,6 +34,16 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
+        "row-blocks-drop-last",
+        "space.py",
+        "for a in range(0, n, _ROWS)",
+        "for a in range(0, n - _ROWS + 1, _ROWS)",
+        (
+            "tests/test_operators.py::TestInPlaceTemporaries::test_values_across_row_block_edges",
+            "tests/test_space.py::TestTriangleScreen::test_violation_row_in_last_row_block",
+        ),
+    ),
+    Mutant(
         "screen-nan-propagating-min",
         "space.py",
         "np.fmin.reduce(",

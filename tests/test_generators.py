@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morrey_lab import generators
 from morrey_lab.generators import (
     FunctionSpec,
     InvalidSpec,
@@ -16,6 +17,15 @@ def loop_ball_indicator(space, center, radius, value):
     f = np.zeros(space.n)
     f[[y for y in range(space.n) if space.dist[center, y] <= radius]] = value
     return f
+
+
+def broadcast_euclidean(points):
+    """The one-broadcast distance table that the row-block form replaced, kept
+    as the reference: the (n, n, dim) differences, then the upper triangle
+    mirrored onto the lower one."""
+    diff = points[:, None, :] - points[None, :, :]
+    d = np.triu(np.sqrt(np.sum(diff * diff, axis=2)), 1)
+    return d + d.T
 
 
 class TestSpaces:
@@ -54,6 +64,30 @@ class TestSpaces:
                 lca[i, j] = depth - (i ^ j).bit_length()
         ref = np.where(lca == depth, 0.0, 2.0 ** (-lca.astype(float)))
         assert np.array_equal(generate_space(SpaceSpec("ultrametric-tree", depth=depth)).dist, ref)
+
+    def test_euclidean_equals_broadcast_form(self, monkeypatch):
+        """Bit for bit, non-finite entries included, on every grid family in
+        dims 1-3 and on random points, with tables of 1 to 3 row blocks; a
+        halfwidth of 1e200 overflows the squares to inf and one of 1e308 the
+        grid step, so every coordinate is inf and every difference NaN."""
+        seen = []
+        original = generators._euclidean
+        monkeypatch.setattr(generators, "_euclidean", lambda points: seen.append(points) or original(points))
+        specs = [
+            SpaceSpec(family, n=n, dim=dim, beta=2.0, halfwidth=5.0)
+            for family in ("grid", "gaussian-grid", "radial-decay-grid")
+            for dim, n in ((1, 130), (2, 9), (3, 5))
+        ]
+        specs += [SpaceSpec("random-points", n=n, dim=dim, seed=n) for n, dim in ((63, 1), (150, 2), (65, 3))]
+        specs += [SpaceSpec("grid", n=9, dim=2, halfwidth=hw) for hw in (1e200, 1e308)]
+        non_finite = 0
+        for spec in specs:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dist, _ = generators._space_arrays(spec)
+                want = broadcast_euclidean(seen[-1])
+            assert np.array_equal(dist.view(np.int64), want.view(np.int64)), spec
+            non_finite += not np.all(np.isfinite(dist))
+        assert non_finite == 2
 
     def test_all_families_validate(self):
         specs = [

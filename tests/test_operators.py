@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
-from morrey_lab.generators import SpaceSpec, generate_function, generate_space
+from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
 from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import MetricMeasureSpace
 
@@ -292,11 +293,22 @@ class TestDilatedTable:
         assert len(calls) == 2 * sp.n
 
 
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak of ``call()`` in bytes, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInPlaceTemporaries:
     def test_corpus_values_equal_expression_forms(self):
-        """The operators reuse their n x n temporaries in place; on every
-        corpus (space, function) their values stay those of the
-        one-expression forms, and the cached tables are untouched."""
+        """The operators work one block of rows at a time and reuse its
+        temporaries in place; on every corpus (space, function) their values
+        stay those of the one-expression forms, and the cached tables are
+        untouched."""
         here = os.path.dirname(os.path.abspath(__file__))
         with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
             cfg = parse_config(json.load(fh))
@@ -304,6 +316,30 @@ class TestInPlaceTemporaries:
             sp = generate_space(sspec)
             for _, fspec in cfg.functions:
                 assert_operators_equal_expression_forms(sp, generate_function(sp, fspec))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_values_across_row_block_edges(self, n):
+        """Spaces of one row short of a 64-row block, one block, one row past it
+        and two blocks plus a row keep the one-expression values."""
+        g = np.random.default_rng(n)
+        for sp in (random_space(n, n), generate_space(SpaceSpec("ultrametric-tree", depth=7))):  # tree: tied distances
+            for f in (g.uniform(0.0, 3.0, sp.n), np.where(g.uniform(size=sp.n) < 0.1, 2.0, 0.0)):
+                assert_operators_equal_expression_forms(sp, f)
+
+    def test_operators_hold_one_row_block(self):
+        """With the k = 2 and k = 6 tables built, each operator's traced peak at
+        n = 512 stays under half of one n x n table; the 64 x n block and its
+        temporaries are 0.5 MiB of the 2 MiB table.  Building a table for a new
+        k holds the table and one row, not a second table."""
+        sp = generate_space(SpaceSpec("random-points", n=512, dim=2, seed=1))
+        f = generate_function(sp, FunctionSpec("random-uniform", seed=1))
+        for k in (2.0, 6.0):
+            sp.dilated_measure(k)
+        table = sp.n * sp.n * 8
+        assert traced_peak(lambda: maximal(sp, f, 2.0)) < table / 2
+        assert traced_peak(lambda: fractional_integral(sp, f, 0.25, kappa=2.0)) < table / 2
+        assert traced_peak(lambda: morrey_norm(sp, f, 2.0, 1.5, 6.0)) < table / 2
+        assert traced_peak(lambda: sp.dilated_measure(1.5)) < 1.25 * table
 
 
 class TestLayerTable:

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from morrey_lab import rng
 from morrey_lab.rng import sample_indices, u64
 
 SEEDS = (0, 9, 2**64 - 1)
@@ -43,6 +44,18 @@ def test_sample_is_a_sorted_subset(count, limit, seed):
     assert sample == sorted(set(sample))  # distinct and ascending
     assert all(0 <= i < count for i in sample)
     assert sample == sample_indices(count, limit, seed)
+
+
+def test_keeping_every_index_makes_no_draw(monkeypatch):
+    """With ``count <= limit`` Floyd's algorithm keeps every index, so the
+    sample is ``range(count)`` without hashing a draw per pair."""
+
+    def no_draw(*args):
+        raise AssertionError("drew a random index")
+
+    monkeypatch.setattr(rng, "randint_below", no_draw)
+    for count, limit in ((0, 0), (1, 1), (64, 64), (1000, 10**9)):
+        assert sample_indices(count, limit, seed=3) == list(range(count))
 
 
 def test_seed_changes_the_sample():

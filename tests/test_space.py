@@ -306,6 +306,17 @@ class TestTables:
             n_invalid += bool(got)
         assert n_invalid >= 30
 
+    def test_tables_equal_stacked_forms(self):
+        """``csum0``, filled a row block at a time, and each ``dilated_measure``
+        table, filled a row at a time, equal the ``concatenate`` and
+        ``np.array``-of-rows forms they replaced."""
+        for sp in [*reference_spaces(), random_space(2, n=129)]:
+            csum = np.cumsum(sp.mass[sp.order], axis=1)
+            assert np.array_equal(sp.csum0, np.concatenate([np.zeros((sp.n, 1)), csum], axis=1))
+            for k in (0.5, 1.0, 1.5, 2.0, 6.0):
+                rows = np.array([sp.closed_measure(x, k * sp.sorted_dist[x]) for x in range(sp.n)])
+                assert np.array_equal(sp.dilated_measure(k), rows), k
+
     def test_empty_space_is_a_shape_violation(self):
         assert find_violations(np.zeros((0, 0)), np.zeros(0)) == [Violation("Shape", ("no points",))]
         with pytest.raises(InvalidSpaceError):
@@ -340,6 +351,17 @@ class TestTriangleScreen:
         for excess, want in ((4 * np.spacing(2.0), 0), (2e-9, 2)):
             dist = np.array([[0.0, 1.0, 2.0 + excess], [1.0, 0.0, 1.0], [2.0 + excess, 1.0, 0.0]])
             assert len(assert_same_violations(dist, np.ones(3))) == want
+
+    def test_violation_row_in_last_row_block(self):
+        """At n = 150 the screen runs in blocks of rows 0-63, 64-127 and
+        128-149; a stretched pair in the last, partial block is still found."""
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, (150, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        dist[140, 145] = dist[145, 140] = 3.0 * dist[140, 145] + 0.5
+        got = find_violations(dist, np.ones(150))
+        assert got == row_find_violations(dist, np.ones(150))
+        assert got and {v.indices[0] for v in got} == {140, 145}
+        assert all(v.kind == "TriangleViolation" for v in got)
 
     def test_random_points_with_one_stretched_distance(self):
         sp = generate_space(SpaceSpec("random-points", n=160, dim=2, seed=3))
