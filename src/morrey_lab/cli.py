@@ -9,9 +9,9 @@ triple, ball, level), ``report.json`` prints floats with ``repr`` (the
 shortest string that round-trips), ``records.csv`` prints them with 17
 significant digits, and logging goes to stderr only.
 
-``run`` keeps each check call's table (see ``theorems``) as one record
-block: the values its rows share, and its float64 arrays and bool pass
-flags as columns.  ``write_report`` writes a block at a time, formatting
+``run`` keeps each check call's ``CheckReport`` (see ``theorems``) as one
+record block: the values its rows share, and its float64 arrays and bool
+pass flags as columns.  ``write_report`` writes a block at a time, formatting
 each of its distinct doubles once, and gives the bytes of
 ``json.dumps(indent=2)`` and of ``csv.writer``.  ``report`` re-renders the
 CSV of a ``report.json`` through ``csv.writer``.
@@ -36,8 +36,9 @@ import numpy as np
 
 from . import __version__, rng
 from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
-from .functions import ExponentSet
+from .functions import ExponentOutOfRange, ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
+from .operators import hedberg_constant
 from .space import MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, enumerate_balls, evaluate
 
@@ -95,6 +96,9 @@ class SweepRequest:
     p: float
     kappas: tuple
     function: str
+
+    def error(self, exc: ValueError) -> ConfigError:
+        return ConfigError(f"sweep (alpha={self.alpha}, p={self.p}, kappas={list(self.kappas)}): {exc}")
 
 
 @dataclass(frozen=True)
@@ -241,14 +245,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
             function = _coerce(ctx, "function", str, ent["function"])
             if function not in function_ids:
                 raise ConfigError(f"{ctx}: unknown function {function!r}")
-            sweeps.append(
-                SweepRequest(
-                    alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
-                    p=_coerce(ctx, "p", float, ent["p"]),
-                    kappas=tuple(_coerce(ctx, "kappas", float, k) for k in _list(f"{ctx}.kappas", ent["kappas"])),
-                    function=function,
-                )
+            sweep = SweepRequest(
+                alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
+                p=_coerce(ctx, "p", float, ent["p"]),
+                kappas=tuple(_coerce(ctx, "kappas", float, k) for k in _list(f"{ctx}.kappas", ent["kappas"])),
+                function=function,
             )
+            try:  # T2's (p, alpha) range and positive kernel dilations, before any space is built
+                hedberg_constant(sweep.p, sweep.alpha)
+                if not all(k > 0.0 for k in sweep.kappas):
+                    raise ExponentOutOfRange(f"kappas must be positive, got {list(sweep.kappas)}")
+            except ExponentOutOfRange as exc:
+                raise sweep.error(exc) from exc
+            sweeps.append(sweep)
         else:
             raise ConfigError(f"checks[{i}]: expected a check id or an estimate/sweep request")
     per_triple = sorted(set(checks) - {"weakL1"})  # every check but weakL1 runs once per exponent triple
@@ -433,8 +442,8 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
         instances = [(space, values[req.function]) for space, values in by_size]
         try:
             rows = kappa_sweep(instances, req.alpha, req.p, req.kappas)
-        except ValueError as exc:  # (alpha, p, kappas) out of range, or non-finite values from a file
-            raise ConfigError(f"sweep (alpha={req.alpha}, p={req.p}, kappas={list(req.kappas)}): {exc}") from exc
+        except ValueError as exc:  # non-finite values from a file; parse_config checked (alpha, p, kappas)
+            raise req.error(exc) from exc
         sweeps.append({"alpha": req.alpha, "p": req.p, "function_id": req.function, "table": rows})
     say(f"ran {len(sweeps)} kappa sweeps")
 

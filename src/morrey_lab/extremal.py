@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .functions import ExponentSet
 from .space import MetricMeasureSpace
-from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, _t2_table, enumerate_balls, evaluate
+from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, check_T2_hedberg, enumerate_balls, evaluate
 
 STEP_INIT = 1.5  # first multiplicative step of each restart
 STEP_DECAY = 0.9  # step - 1 shrinks by this factor after a stalled sweep
@@ -156,7 +156,7 @@ def kappa_sweep(instances, alpha: float, p: float, kappas) -> list[dict]:
     Report-only; kappa < 2 is the regime the theory does not cover.
     """
     return [
-        {"instance": idx, "n": space.n, "kappa": k, "ratio": _t2_table(space, f, p, alpha, k).lhs.item()}
+        {"instance": idx, "n": space.n, "kappa": k, "ratio": check_T2_hedberg(space, f, p, alpha, k).lhs.item()}
         for idx, (space, f) in enumerate(instances)
         for k in map(float, kappas)
     ]

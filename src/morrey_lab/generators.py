@@ -105,12 +105,13 @@ def _space_arrays(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
     if spec.family == "ultrametric-tree":
         n = 2**spec.depth
-        idx = np.arange(n)
-        # depth of the least common ancestor of two leaves = number of
-        # shared leading bits of their paths; frexp's exponent is bit_length
-        xor = idx[:, None] ^ idx[None, :]
-        lca = spec.depth - np.frexp(xor)[1]
-        dist = np.where(xor == 0, 0.0, 2.0 ** (-lca.astype(float)))
+        idx, dist = np.arange(n), np.empty((n, n))
+        for rows in row_blocks(n):
+            # depth of the least common ancestor of two leaves = number of
+            # shared leading bits of their paths; frexp's exponent is bit_length
+            xor = idx[rows, None] ^ idx[None, :]
+            lca = spec.depth - np.frexp(xor)[1]
+            dist[rows] = np.where(xor == 0, 0.0, 2.0 ** (-lca.astype(float)))
         return dist, np.ones(n)
 
     if spec.family == "random-points":

@@ -8,19 +8,15 @@ constant) also carry a pass flag; the existence-of-C statements only
 report.  A checker takes f as an array or as a ``Values``, and checkers
 given the same ``Values`` compute each operator value and norm of f once.
 
-A check call computes one table: the check id, params and theory constant
-its rows share, a float64 array over the rows in ``gamma`` (None without
-levels), ``lhs``, ``rhs_without_constant`` and ``empirical_constant``, and
-a bool array in ``passed`` (None without a theory constant).
-``evaluate`` returns tables; a ``CheckReport`` per row, from the
-``check_*`` functions, is their library view, with Python floats and bools.
+A check call returns one ``CheckReport``, a table of its rows.
+``evaluate`` is the one dispatch over ``CHECK_IDS`` to the ``check_*``
+functions; the CLI, the optimizer and the kappa sweep read their reports.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +38,6 @@ class UnknownCheckId(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_id: str
-    params: dict
-    lhs: float
-    rhs_without_constant: float
-    empirical_constant: float
-    theory_constant: float | None = None
-    passed: bool | None = None
-
-
 def _constants(lhs, rhs, theory_constant=None):
     """The empirical constants ``lhs / rhs`` and the pass flags, elementwise
     for scalars or arrays: the constant is 0 where lhs == 0 == rhs (a vacuous
@@ -67,27 +52,22 @@ def _constants(lhs, rhs, theory_constant=None):
     return const, (lhs <= theory_constant * rhs) | (const == 0.0)
 
 
-_Table = namedtuple(
-    "_Table", "check_id params theory_constant gamma lhs rhs_without_constant empirical_constant passed"
+CheckReport = namedtuple(
+    "CheckReport", "check_id params theory_constant gamma lhs rhs_without_constant empirical_constant passed"
 )
+CheckReport.__doc__ = """The rows of one check call.  ``check_id``, ``params`` and
+``theory_constant`` are shared by the rows; ``gamma`` (None for a check
+without levels), ``lhs``, ``rhs_without_constant`` and ``empirical_constant``
+are float64 arrays over the rows, and ``passed`` is a bool array (None
+without a theory constant)."""
 
 
-def _table(check_id, params, lhs, rhs, theory_constant=None, gamma=None) -> _Table:
+def _report(check_id, params, lhs, rhs, theory_constant=None, gamma=None) -> CheckReport:
     """The rows with sides ``lhs`` and ``rhs``, scalars or arrays of one shape
     read in C order, and the constants and flags of ``_constants``."""
     lhs, rhs = np.asarray(lhs, dtype=float).ravel(), np.asarray(rhs, dtype=float).ravel()
     const, passed = _constants(lhs, rhs, theory_constant)
-    return _Table(check_id, params, theory_constant, gamma, lhs, rhs, const, passed)
-
-
-def _reports(t: _Table, balls=None) -> list[CheckReport]:
-    """The library view of a table: a report per row, the row's ball (of ``balls``) and level in its params."""
-    n = len(t.lhs)
-    heads = [{}] * n if balls is None else [{"a": a, "r": r} for a, r in balls for _ in range(n // len(balls))]
-    levels = [{}] * n if t.gamma is None else [{"gamma": g} for g in t.gamma.tolist()]
-    numbers = (t.lhs.tolist(), t.rhs_without_constant.tolist(), t.empirical_constant.tolist())
-    rows = zip(heads, levels, *numbers, [None] * n if t.passed is None else t.passed.tolist())
-    return [CheckReport(t.check_id, {**h, **t.params, **g}, *row, t.theory_constant, ok) for h, g, *row, ok in rows]
+    return CheckReport(check_id, params, theory_constant, gamma, lhs, rhs, const, passed)
 
 
 def gamma_grid(base: float, lo: float = GAMMA_LO, hi: float = GAMMA_HI, count: int = GAMMA_COUNT) -> np.ndarray:
@@ -186,91 +166,71 @@ def _values(space, f) -> Values:
     return f
 
 
-def _t1_table(space, f, balls, p, gammas) -> _Table:
+def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> CheckReport:
+    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
+    6r-ball Morrey bound, explicit constant 4; f may be a ``Values``.  The
+    rows are (ball, level) in C order: row i is ``(balls[i // len(gammas)],
+    gammas[i % len(gammas)])``, and the ball is not a column."""
     if not p > 1.0:
         raise ExponentOutOfRange(f"p must exceed 1, got {p}")
     v = _values(space, f)
     mf, norm = v.of(maximal, 2.0), v.of(morrey_norm, p, 1.0, 2.0)
     w, lhs, gammas = _ball_sides(space, mf, balls, gammas, p)
-    return _table("T1", {"p": p}, lhs, w * norm / gammas, 4.0, np.tile(gammas, len(balls)))
+    return _report("T1", {"p": p}, lhs, w * norm / gammas, 4.0, np.tile(gammas, len(balls)))
 
 
-def check_T1_weak_maximal(space, f, balls, p: float, gammas) -> list[CheckReport]:
-    """Level sets of M_2 f inside each ball B(a,r) of ``balls`` against the
-    6r-ball Morrey bound, explicit constant 4; f may be a ``Values``."""
-    return _reports(_t1_table(space, f, balls, p, gammas), balls)
-
-
-def _t2_table(space, f, p, alpha, kappa=2.0) -> _Table:
+def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
+    """Worst-point ratio of I_alpha f, with kernel dilation ``kappa``, to
+    M_2 f^{1-p*alpha} norm^{p*alpha}, in one row; points where the
+    denominator vanishes count as 0, and f may be a ``Values``.  The explicit
+    constant is the one derived for kappa = 2."""
     ch = hedberg_constant(p, alpha)  # also validates (p, alpha)
     v = _values(space, f)
     pot = v.of(fractional_integral, alpha, kappa)
     denom = v.of(maximal, 2.0) ** (1.0 - p * alpha) * v.of(morrey_norm, p, 1.0, 2.0) ** (p * alpha)
     ratios = np.where(denom > 0.0, pot / np.where(denom > 0.0, denom, 1.0), 0.0)
     lhs = float(ratios.max()) if ratios.size else 0.0
-    return _table("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
+    return _report("T2", {"p": p, "alpha": alpha}, lhs, 1.0, theory_constant=ch)
 
 
-def check_T2_hedberg(space, f, p: float, alpha: float, kappa: float = 2.0) -> CheckReport:
-    """Worst-point ratio of I_alpha f, with kernel dilation ``kappa``, to
-    M_2 f^{1-p*alpha} norm^{p*alpha}; points where the denominator vanishes
-    count as 0, and f may be a ``Values``.  The explicit constant is the one
-    derived for kappa = 2."""
-    return _reports(_t2_table(space, f, p, alpha, kappa))[0]
-
-
-def _t3_table(space, f, balls, exps, gammas) -> _Table:
+def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> CheckReport:
+    """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
+    ``balls``; constant left abstract, and f may be a ``Values``.  The rows
+    are (ball, level) in C order, as in ``check_T1_weak_maximal``."""
     v = _values(space, f)
     pot, norm = v.of(fractional_integral, exps.alpha, 2.0), v.of(morrey_norm, exps.p, 1.0, 2.0)
     sp = exps.s / exps.p  # = 1 / (1 - p*alpha)
     w, lhs, gammas = _ball_sides(space, pot, balls, gammas, exps.p)
     rhs = w * np.array([(norm / g) ** sp for g in gammas])
-    return _table("T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, lhs, rhs, gamma=np.tile(gammas, len(balls)))
-
-
-def check_T3_weak_frac(space, f, balls, exps: ExponentSet, gammas) -> list[CheckReport]:
-    """Level sets of I_alpha f (kappa=2) inside each ball B(a,r) of
-    ``balls``; constant left abstract, and f may be a ``Values``."""
-    return _reports(_t3_table(space, f, balls, exps, gammas), balls)
-
-
-def _t6_table(space, f, exps) -> _Table:
-    v = _values(space, f)
-    lhs = morrey_norm(space, v.of(fractional_integral, exps.alpha, 2.0), exps.s, exps.t, 6.0)
-    params = {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t}
-    return _table("T6", params, lhs, v.of(morrey_norm, exps.p, exps.q, 2.0))
+    return _report("T3", {"p": exps.p, "alpha": exps.alpha, "s": exps.s}, lhs, rhs, gamma=np.tile(gammas, len(balls)))
 
 
 def check_T6_strong(space, f, exps: ExponentSet) -> CheckReport:
     """Morrey norm of the potential on the (s, t, 6) scale against the
-    (p, q, 2) norm of f, which may be a ``Values``."""
-    return _reports(_t6_table(space, f, exps))[0]
+    (p, q, 2) norm of f, which may be a ``Values``, in one row."""
+    v = _values(space, f)
+    lhs = morrey_norm(space, v.of(fractional_integral, exps.alpha, 2.0), exps.s, exps.t, 6.0)
+    params = {"p": exps.p, "q": exps.q, "alpha": exps.alpha, "s": exps.s, "t": exps.t}
+    return _report("T6", params, lhs, v.of(morrey_norm, exps.p, exps.q, 2.0))
 
 
-def _t7_table(space, f, p, q) -> _Table:
+def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
+    """Morrey boundedness of M_2 on the (p, q) scale, in one row; f may be a ``Values``."""
     if not 1.0 < q <= p:
         raise ExponentOutOfRange(f"need 1 < q <= p, got q={q}, p={p}")
     v = _values(space, f)
     lhs = morrey_norm(space, v.of(maximal, 2.0), p, q, 6.0)
-    return _table("T7", {"p": p, "q": q}, lhs, v.of(morrey_norm, p, q, 2.0))
+    return _report("T7", {"p": p, "q": q}, lhs, v.of(morrey_norm, p, q, 2.0))
 
 
-def check_T7_maximal_morrey(space, f, p: float, q: float) -> CheckReport:
-    """Morrey boundedness of M_2 on the (p, q) scale; f may be a ``Values``."""
-    return _reports(_t7_table(space, f, p, q))[0]
-
-
-def _weak_l1_table(space, f, gammas) -> _Table:
+def check_weak_L1(space, f, gammas) -> CheckReport:
+    """Global level sets of M_2 f against the L1 norm, a row per level;
+    report-only (the constant lives in the cited literature), and f may be a
+    ``Values``."""
     v, gammas = _values(space, f), np.asarray(gammas, dtype=float)
     mf, l1 = v.of(maximal, 2.0), v.of(lq_norm, 1.0)
     lhs = level_masses(space, mf, np.ones((1, space.n), dtype=bool), gammas)[0]
-    return _table("weakL1", {}, lhs, l1 / gammas, gamma=gammas)
-
-
-def check_weak_L1(space, f, gammas) -> list[CheckReport]:
-    """Global level sets of M_2 f against the L1 norm; report-only (the
-    constant lives in the cited literature), and f may be a ``Values``."""
-    return _reports(_weak_l1_table(space, f, gammas))
+    return _report("weakL1", {}, lhs, l1 / gammas, gamma=gammas)
 
 
 def evaluate(
@@ -282,15 +242,16 @@ def evaluate(
     gamma_lo: float = GAMMA_LO,
     gamma_hi: float = GAMMA_HI,
     gamma_count: int = GAMMA_COUNT,
-) -> list[_Table]:
-    """The tables of one check on one function: one per exponent triple
+) -> list[CheckReport]:
+    """The reports of one check on one function: one per exponent triple
     (weakL1: one), with a row per ball in ``balls`` and level for the ball
-    checks (``BALL_CHECKS``).  Row i is report i of the public check.
+    checks (``BALL_CHECKS``).
 
-    This is the one dispatch over ``CHECK_IDS``.  It runs the checks on one
-    ``Values`` (``f`` itself if it is one), so each operator value and norm
-    is computed once for all of them.  The level grids span [gamma_lo,
-    gamma_hi] times the maximum of the operator whose level sets are measured.
+    This is the one dispatch over ``CHECK_IDS``.  It calls the public
+    ``check_*`` functions, looked up by name at each call, on one ``Values``
+    (``f`` itself if it is one), so each operator value and norm is computed
+    once for all of them.  The level grids span [gamma_lo, gamma_hi] times
+    the maximum of the operator whose level sets are measured.
     """
     v = _values(space, f)
 
@@ -298,14 +259,14 @@ def evaluate(
         return gamma_grid(float(v.of(op, *args).max()), gamma_lo, gamma_hi, gamma_count)
 
     per_triple = {
-        "T1": lambda e: _t1_table(space, v, balls, e.p, levels(maximal, 2.0)),
-        "T2": lambda e: _t2_table(space, v, e.p, e.alpha),
-        "T3": lambda e: _t3_table(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
-        "T6": lambda e: _t6_table(space, v, e),
-        "T7": lambda e: _t7_table(space, v, e.p, e.q),
+        "T1": lambda e: check_T1_weak_maximal(space, v, balls, e.p, levels(maximal, 2.0)),
+        "T2": lambda e: check_T2_hedberg(space, v, e.p, e.alpha),
+        "T3": lambda e: check_T3_weak_frac(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
+        "T6": lambda e: check_T6_strong(space, v, e),
+        "T7": lambda e: check_T7_maximal_morrey(space, v, e.p, e.q),
     }
     if check_id == "weakL1":
-        return [_weak_l1_table(space, v, levels(maximal, 2.0))]
+        return [check_weak_L1(space, v, levels(maximal, 2.0))]
     if check_id not in per_triple:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
     return [per_triple[check_id](e) for e in exponents]

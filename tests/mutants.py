@@ -123,6 +123,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "kernel-diagonal-own-atom",
+        "operators.py",
+        "km **= alpha - 1.0",
+        "km[np.arange(len(km)), np.arange(space.n)[rows]] = space.mass[rows]\n        km **= alpha - 1.0",
+        ("tests/test_properties.py::test_atom_splitting_keeps_values",),
+    ),
+    Mutant(
         "doubling-last-witness",
         "space.py",
         "x = int(np.argmax(row_max == best))",
@@ -185,7 +192,7 @@ MUTANTS = (
         "cli.py",
         """anchor = '\\n  "records": []'""",
         """anchor = '"records": []'""",
-        ("tests/test_cli.py::TestWriteReport::test_random_reports",),
+        ("tests/test_cli.py::TestWriteReport::test_random_report_sections",),
     ),
     Mutant(
         "config-int-truncates",
@@ -200,7 +207,7 @@ MUTANTS = (
         "w * norm / gammas",
         "w * norm * (1.0 / gammas)",
         (
-            "tests/test_theorems.py::TestBallTables::test_reports_equal_per_ball_loop",
+            "tests/test_theorems.py::TestBallTables::test_tables_equal_per_ball_loop",
             "tests/test_acceptance.py::test_criterion_9_end_to_end_determinism",
         ),
     ),

@@ -268,12 +268,21 @@ class TestConfigErrorsExitTwo:
             {"alpha": 1.5, "p": 2.0},
             {"alpha": 0.25, "p": 0.5},
             {"alpha": 0.6, "p": 2.0},  # alpha >= 1/p, outside T2's range
+            {"alpha": 0.9, "p": 2.0},
+            {"alpha": 0.25, "p": 2.0, "kappas": [1.0, 0.0]},
         ],
     )
-    def test_bad_sweep_parameter(self, tmp_path, capsys, sweep):
-        code, err = self.run_with(tmp_path, capsys, {"checks": [{"sweep": sweep}]})
+    def test_bad_sweep_parameter(self, tmp_path, capsys, monkeypatch, sweep):
+        """Rejected when the config is read, before any space is built."""
+
+        def unbuilt(spec):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr(cli, "generate_space", unbuilt)
+        code, err = self.run_with(tmp_path, capsys, {"checks": ["T1", {"sweep": sweep}]})
         assert code == 2
         assert err.startswith("config error: sweep (")
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_of_a_non_finite_function_file(self, tmp_path, capsys):
         (tmp_path / "nan.json").write_text(json.dumps([1.0, float("nan"), 1.0, 1.0]))
@@ -891,7 +900,7 @@ class TestWriteReport:
         sweeps={"records": [[]]},
         records=[{"check_id": "T1", "error": '\n  "records": []'}, {"records": []}],
     )
-    def test_random_reports(self, tmp_path_factory, config, estimates, sweeps, records):
+    def test_random_report_sections(self, tmp_path_factory, config, estimates, sweeps, records):
         """Arbitrary nested sections, and plain rows as one-row blocks."""
         report = {
             "config": config,
@@ -1063,15 +1072,20 @@ class TestSharedWork:
                     if getattr(module, name, None) is original:
                         m.setattr(module, name, counted)
 
-            here = os.path.dirname(os.path.abspath(__file__))
-            with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
-                raw = json.load(fh)
-            raw["checks"] = [c for c in raw["checks"] if isinstance(c, str) or (with_sweep and "sweep" in c)]
-            cfg = parse_config(raw)
+            cfg = self.corpus_config(with_sweep)
             report, code = cli.run(cfg)
         assert code == 0 and report["verdict"]["errors"] == 0
         assert len(report["sweeps"]) == int(with_sweep)
         return cfg, calls
+
+    @staticmethod
+    def corpus_config(with_sweep):
+        """The shipped corpus config with its string checks, and its sweep if asked."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+            raw = json.load(fh)
+        raw["checks"] = [c for c in raw["checks"] if isinstance(c, str) or (with_sweep and "sweep" in c)]
+        return parse_config(raw)
 
     def test_plain_checks_share_balls_and_operators(self, monkeypatch):
         """Balls are enumerated once per space, and M_2|f|, each I_alpha|f|
@@ -1102,25 +1116,41 @@ class TestSharedWork:
         assert len(swept["fractional_integral"]) - len(plain["fractional_integral"]) == 6
 
 
-    def test_run_builds_no_check_report(self, monkeypatch):
-        """Records, estimates and sweeps come straight from the check tables;
-        a ``CheckReport`` is only the public checkers' view of one."""
+    def test_run_reaches_the_public_checks(self, monkeypatch):
+        """``cli.run`` calls each check through its public name in
+        ``theorems``, where a wrapper sees every call, and each call builds
+        one ``CheckReport``, which becomes one record block: 165 reports for
+        the corpus's 17,765 rows."""
         from morrey_lab import theorems
 
-        def stub(*args, **kwargs):
-            raise AssertionError("cli.run built a CheckReport")
+        calls = {name: 0 for name in dir(theorems) if name.startswith("check_")}
+        assert len(calls) == len(CHECK_IDS)
+        for name in calls:
 
-        checks = [
-            *CHECK_IDS,
-            {"estimate": {"check": "T1", "restarts": 1, "max_iters": 4}},
-            {"sweep": {"alpha": 0.25, "p": 2.0}},
-        ]
-        monkeypatch.setattr(theorems, "CheckReport", stub)
-        report, code = cli.run(parse_config(dict(BASE_CONFIG, checks=checks)))
-        assert code == 0 and len(report["estimates"]) == len(report["sweeps"]) == 1
-        assert {shared["check_id"] for shared, _ in report["records"]} == set(CHECK_IDS)
-        with pytest.raises(AssertionError, match="built a CheckReport"):  # the public checkers do build them
-            theorems.check_T7_maximal_morrey(generate_space(SpaceSpec("grid", n=4)), np.ones(4), 2.0, 1.5)
+            def counted(*args, _name=name, _original=getattr(theorems, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(theorems, name, counted)
+        built = []
+
+        def counted_report(*fields, _original=theorems.CheckReport):
+            built.append(fields[0])
+            return _original(*fields)
+
+        monkeypatch.setattr(theorems, "CheckReport", counted_report)
+        report, code = cli.run(self.corpus_config(with_sweep=False))
+        assert code == 0
+        assert calls == {
+            "check_T1_weak_maximal": 30,
+            "check_T2_hedberg": 30,
+            "check_T3_weak_frac": 30,
+            "check_T6_strong": 30,
+            "check_T7_maximal_morrey": 30,
+            "check_weak_L1": 15,
+        }
+        assert len(built) == len(report["records"]) == 165
+        assert [shared["check_id"] for shared, _ in report["records"]] == built
 
     def test_run_keeps_one_block_per_table(self, corpus_report):
         """The run keeps each check call's table as one record block: one per

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,15 @@ def broadcast_euclidean(points):
     diff = points[:, None, :] - points[None, :, :]
     d = np.triu(np.sqrt(np.sum(diff * diff, axis=2)), 1)
     return d + d.T
+
+
+def expression_tree(depth):
+    """The one-expression tree distances that the row-block form replaced,
+    kept as the reference: full n x n ``xor``, ``frexp`` and ``where`` tables."""
+    idx = np.arange(2**depth)
+    xor = idx[:, None] ^ idx[None, :]
+    lca = depth - np.frexp(xor)[1]
+    return np.where(xor == 0, 0.0, 2.0 ** (-lca.astype(float)))
 
 
 class TestSpaces:
@@ -64,6 +75,23 @@ class TestSpaces:
                 lca[i, j] = depth - (i ^ j).bit_length()
         ref = np.where(lca == depth, 0.0, 2.0 ** (-lca.astype(float)))
         assert np.array_equal(generate_space(SpaceSpec("ultrametric-tree", depth=depth)).dist, ref)
+
+    def test_ultrametric_tree_equals_expression_form(self):
+        """Bit for bit at depths 0 to 10, one row block to 16."""
+        for depth in range(11):
+            dist, _ = generators._space_arrays(SpaceSpec("ultrametric-tree", depth=depth))
+            assert np.array_equal(dist.view(np.int64), expression_tree(depth).view(np.int64)), depth
+
+    def test_ultrametric_tree_holds_one_row_block(self):
+        """At depth 10 (n = 1024) the traced peak stays under 1.5 of the 8 MiB
+        table it returns: one table plus one 64-row block of temporaries."""
+        tracemalloc.start()
+        try:
+            generators._space_arrays(SpaceSpec("ultrametric-tree", depth=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 1024 * 1024 * 8
 
     def test_euclidean_equals_broadcast_form(self, monkeypatch):
         """Bit for bit, non-finite entries included, on every grid family in

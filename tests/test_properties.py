@@ -8,18 +8,30 @@ the suite stays deterministic and fast.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morrey_lab import theorems
-from morrey_lab.functions import lq_norm, morrey_norm
+from morrey_lab.functions import ExponentSet, lq_norm, morrey_norm
 from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
 from morrey_lab.space import doubling_ratio, validate_space
-from morrey_lab.theorems import Values, check_T1_weak_maximal, enumerate_balls, gamma_grid
+from morrey_lab.theorems import (
+    Values,
+    check_T1_weak_maximal,
+    check_T2_hedberg,
+    check_T6_strong,
+    check_T7_maximal_morrey,
+    check_weak_L1,
+    enumerate_balls,
+    gamma_grid,
+)
 
 from conftest import assert_operators_equal_expression_forms, hedberg_layer_sum
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+RTOL = 1e-9  # acceptance 1's oracle tolerance
+EXPS = ExponentSet.from_pqa(2.0, 1.5, 0.25)
 
 
 @st.composite
@@ -80,8 +92,8 @@ def test_operators_equal_expression_forms(sp_f):
 def test_t1_passes_with_constant_four(sp_f, p):
     sp, f = sp_f
     gammas = gamma_grid(float(maximal(sp, f, 2.0).max()))
-    reports = check_T1_weak_maximal(sp, f, enumerate_balls(sp), p, gammas)
-    assert reports and all(rep.passed for rep in reports)
+    rep = check_T1_weak_maximal(sp, f, enumerate_balls(sp), p, gammas)
+    assert len(rep.passed) > 0 and rep.passed.all()
 
 
 @st.composite
@@ -110,7 +122,7 @@ def test_exact_t1_and_weak_l1_suprema_at_most_one(sp_f, p):
     radii = [(a, d) for a in range(sp.n) for d in np.unique(sp.dist[a]).tolist()]
     balls = [(a, float(np.nextafter(d, math.inf))) for a, d in radii]
     levels = np.nextafter(np.unique(v.of(maximal, 2.0)), 0.0)
-    t1 = theorems._t1_table(sp, v, balls, p, levels)
+    t1 = check_T1_weak_maximal(sp, v, balls, p, levels)
     assert t1.empirical_constant.max() <= 1.0 + ulps
     # The 4r form: the right limit of mu(B(a, 4r)) at r = d is the closed
     # 4d ball, dilated_measure(4) at d's place in the sorted row.
@@ -119,5 +131,66 @@ def test_exact_t1_and_weak_l1_suprema_at_most_one(sp_f, p):
     rhs4 = w4[:, None] * v.of(morrey_norm, p, 1.0, 2.0) / levels
     const4, _ = theorems._constants(t1.lhs.reshape(len(balls), len(levels)), rhs4)
     assert const4.max() <= 1.0 + ulps
-    weak_l1 = theorems._weak_l1_table(sp, v, levels)
+    weak_l1 = check_weak_L1(sp, v, levels)
     assert (levels * weak_l1.lhs).max() <= lq_norm(sp, f, 1.0) * (1.0 + ulps)
+
+
+def invariants(sp, f):
+    """The values a metamorphic relation must keep: the (2, 1, 2) and
+    (2, 1.5, 2) Morrey norms of f and the T2, T6 and T7 constants."""
+    return [
+        morrey_norm(sp, f, EXPS.p, 1.0, 2.0),
+        morrey_norm(sp, f, EXPS.p, EXPS.q, 2.0),
+        check_T2_hedberg(sp, f, EXPS.p, EXPS.alpha).empirical_constant.item(),
+        check_T6_strong(sp, f, EXPS).empirical_constant.item(),
+        check_T7_maximal_morrey(sp, f, EXPS.p, EXPS.q).empirical_constant.item(),
+    ]
+
+
+def exact_t1_supremum(sp, f, p):
+    """The exact T1 supremum of ``TestSharpConstant``: every right-limit ball
+    ``nextafter(d, inf)`` and every level ``nextafter(v, 0)`` below a
+    positive value v of M_2 f; 0 when f vanishes."""
+    v = Values(sp, f)
+    balls = [(a, float(np.nextafter(d, math.inf))) for a in range(sp.n) for d in np.unique(sp.dist[a]).tolist()]
+    values = np.unique(v.of(maximal, 2.0))
+    levels = np.nextafter(values[values > 0.0], 0.0)
+    return float(check_T1_weak_maximal(sp, v, balls, p, levels).empirical_constant.max(initial=0.0))
+
+
+@SETTINGS
+@given(space_and_function(), st.data())
+def test_relabeling_permutes_values(sp_f, data):
+    """Renumbering the points (and f with them) permutes M_2 f and I_alpha f
+    and leaves the Morrey norms and the T2, T6 and T7 constants unchanged."""
+    sp, f = sp_f
+    perm = np.array(data.draw(st.permutations(range(sp.n))), dtype=int)
+    relabeled = validate_space(sp.dist[np.ix_(perm, perm)], sp.mass[perm])
+    np.testing.assert_allclose(maximal(relabeled, f[perm], 2.0), maximal(sp, f, 2.0)[perm], rtol=RTOL)
+    for kappa in (1.0, 2.0):
+        got = fractional_integral(relabeled, f[perm], EXPS.alpha, kappa)
+        np.testing.assert_allclose(got, fractional_integral(sp, f, EXPS.alpha, kappa)[perm], rtol=RTOL)
+    np.testing.assert_allclose(invariants(relabeled, f[perm]), invariants(sp, f), rtol=RTOL)
+
+
+@SETTINGS
+@given(space_and_function(), st.data(), st.floats(0.01, 0.99))
+def test_atom_splitting_keeps_values(sp_f, data, lam):
+    """Replacing the atom at a point x of mass m by two coincident atoms of
+    masses lam m and (1 - lam) m, with f copied to both, changes no ball's
+    measure or integral: M_2 f and I_alpha f keep their values (the new atom
+    takes x's), and the Morrey norms, the T2, T6 and T7 constants and the
+    exact T1 supremum stay the same.  An operator that reads an atom's own
+    mass where the measure of its zero-distance class belongs fails this."""
+    sp, f = sp_f
+    x = data.draw(st.integers(0, sp.n - 1))
+    idx = np.append(np.arange(sp.n), x)  # the new atom n is a copy of x, at distance 0 from it
+    mass = sp.mass[idx]
+    mass[x], mass[-1] = lam * sp.mass[x], (1.0 - lam) * sp.mass[x]
+    split, g = validate_space(sp.dist[np.ix_(idx, idx)], mass), f[idx]
+    np.testing.assert_allclose(maximal(split, g, 2.0), maximal(sp, f, 2.0)[idx], rtol=RTOL)
+    for kappa in (1.0, 2.0):
+        got = fractional_integral(split, g, EXPS.alpha, kappa)
+        np.testing.assert_allclose(got, fractional_integral(sp, f, EXPS.alpha, kappa)[idx], rtol=RTOL)
+    np.testing.assert_allclose(invariants(split, g), invariants(sp, f), rtol=RTOL)
+    assert exact_t1_supremum(split, g, EXPS.p) == pytest.approx(exact_t1_supremum(sp, f, EXPS.p), rel=RTOL)
