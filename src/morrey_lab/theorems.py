@@ -81,7 +81,7 @@ def _radius_rows(space: MetricMeasureSpace, rows, diam: float):
     """The sorted candidate radii of the centers ``rows`` (d(a, y) * {0.5, 1,
     1.5}, or 1 on a zero-diameter space) and the mask of the positive ones
     that differ from their left neighbour."""
-    sd = space.sorted_dist[rows]
+    sd = space.sorted_dist(rows)
     if diam == 0.0:
         radii = np.ones((len(sd), 1))
     else:
@@ -131,12 +131,13 @@ def _ball_sides(space, values, balls, gammas, p):
     gammas = np.asarray(gammas, dtype=float)
     centers = np.array([a for a, _ in balls], dtype=int)
     radii = np.array([r for _, r in balls], dtype=float)
-    masks = space.dist[centers] < radii[:, None]
+    d = space.dist[centers]
+    masks = d < radii[:, None]
     empty = np.flatnonzero(~masks.any(axis=1))  # masses are positive
     if empty.size:
         a, r = balls[empty[0]]
         raise EmptyBall(f"ball({a}, {r}) has zero measure")
-    inside6 = np.count_nonzero(space.dist[centers] < 6.0 * radii[:, None], axis=1)
+    inside6 = np.count_nonzero(d < 6.0 * radii[:, None], axis=1)
     w = np.array([mu6 ** (1.0 - 1.0 / p) for mu6 in space.csum0[centers, inside6].tolist()])
     return w[:, None], level_masses(space, values, masks, gammas), gammas
 

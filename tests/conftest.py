@@ -92,7 +92,7 @@ def radius_grid(space: MetricMeasureSpace, x: int, count: int = 10_000) -> np.nd
 def closed_integral(space: MetricMeasureSpace, x: int, radii, weights) -> np.ndarray:
     """int_{closed ball(x, r)} weights for each r."""
     cum0 = np.concatenate([[0.0], np.cumsum(np.asarray(weights, dtype=float)[space.order[x]])])
-    idx = np.searchsorted(space.sorted_dist[x], radii, side="right")
+    idx = np.searchsorted(space.sorted_dist(x), radii, side="right")
     return cum0[idx]
 
 
@@ -136,7 +136,7 @@ def layer_radii(space: MetricMeasureSpace, x: int, k_range=None) -> np.ndarray:
     2^k, and inf where no ball does."""
     lo, hi = default_k_range(space) if k_range is None else k_range
     first_above = np.searchsorted(space.csum0[x][1:], 2.0 ** np.arange(lo, hi + 1), side="right")
-    return np.append(space.sorted_dist[x], math.inf)[first_above] / 2.0
+    return np.append(space.sorted_dist(x), math.inf)[first_above] / 2.0
 
 
 def hedberg_layer_sum(space: MetricMeasureSpace, f, alpha: float) -> np.ndarray:
@@ -153,7 +153,7 @@ def hedberg_layer_sum(space: MetricMeasureSpace, f, alpha: float) -> np.ndarray:
     total = float(absfm.sum())
     out = np.empty(space.n)
     for x in range(space.n):
-        sd = space.sorted_dist[x]
+        sd = space.sorted_dist(x)
         radii = layer_radii(space, x, (lo, hi))
         cf = np.concatenate([[0.0], np.cumsum(absfm[space.order[x]])])
         integrals = np.where(np.isinf(radii), total, cf[np.searchsorted(sd, radii, side="left")])

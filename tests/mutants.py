@@ -65,10 +65,17 @@ MUTANTS = (
         ("tests/test_space.py::TestTriangleScreen::test_slack_forgives_only_rounding",),
     ),
     Mutant(
+        "order-dtype-one-short",
+        "space.py",
+        "np.min_scalar_type(max(n - 1, 0))",
+        "np.min_scalar_type(max(n - 2, 0))",
+        ("tests/test_space.py::TestTables::test_order_is_the_stable_argsort",),  # n = 257: index 256 wraps to 0
+    ),
+    Mutant(
         "closed-measure-open-ball",
         "space.py",
-        'idx = np.searchsorted(self.sorted_dist[x], radii, side="right")',
-        'idx = np.searchsorted(self.sorted_dist[x], radii, side="left")',
+        'idx = np.searchsorted(self.sorted_dist(x), radii, side="right")',
+        'idx = np.searchsorted(self.sorted_dist(x), radii, side="left")',
         (
             "tests/test_space.py::TestBalls::test_measure_sums_atoms",
             "tests/test_space.py::TestDoubling::test_two_point_witness",

@@ -223,7 +223,7 @@ def loop_maximal(space, f, k):
     cum = space.cumulative(np.abs(f) * space.mass)
     out = np.empty(space.n)
     for x in range(space.n):
-        denom = space.closed_measure(x, k * space.sorted_dist[x])
+        denom = space.closed_measure(x, k * space.sorted_dist(x))
         out[x] = float((cum[x] / denom).max())
     return out
 
@@ -234,7 +234,7 @@ def loop_morrey_norm(space, f, p, q, k):
     cum = space.cumulative(np.abs(f) ** q * space.mass)
     best = 0.0
     for x in range(space.n):
-        norm_mass = space.closed_measure(x, k * space.sorted_dist[x])
+        norm_mass = space.closed_measure(x, k * space.sorted_dist(x))
         vals = norm_mass**e * cum[x] ** (1.0 / q) if e != 0.0 else cum[x] ** (1.0 / q)
         m = float(vals.max())
         if m > best:

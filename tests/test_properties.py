@@ -126,7 +126,7 @@ def test_exact_t1_and_weak_l1_suprema_at_most_one(sp_f, p):
     assert t1.empirical_constant.max() <= 1.0 + ulps
     # The 4r form: the right limit of mu(B(a, 4r)) at r = d is the closed
     # 4d ball, dilated_measure(4) at d's place in the sorted row.
-    mu4 = [sp.dilated_measure(4.0)[a, np.searchsorted(sp.sorted_dist[a], d)] for a, d in radii]
+    mu4 = [sp.dilated_measure(4.0)[a, np.searchsorted(sp.sorted_dist(a), d)] for a, d in radii]
     w4 = np.array([m ** (1.0 - 1.0 / p) for m in mu4])
     rhs4 = w4[:, None] * v.of(morrey_norm, p, 1.0, 2.0) / levels
     const4, _ = theorems._constants(t1.lhs.reshape(len(balls), len(levels)), rhs4)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.space import (
     TRIANGLE_RTOL,
     InvalidSpaceError,
+    MetricMeasureSpace,
     Violation,
     doubling_ratio,
     find_violations,
@@ -90,19 +93,19 @@ class TestBalls:
 
 
 class TestBreakpoints:
-    """The breakpoints of x are the distinct entries of ``sorted_dist[x]``."""
+    """The breakpoints of x are the distinct entries of ``sorted_dist(x)``."""
 
     def test_line_endpoint(self):
         sp = line_space([0.0, 1.0, 2.0])
-        assert sp.sorted_dist[0].tolist() == [0.0, 1.0, 2.0]
+        assert sp.sorted_dist(0).tolist() == [0.0, 1.0, 2.0]
 
     def test_single_point(self):
-        assert single_point_space().sorted_dist[0].tolist() == [0.0]
+        assert single_point_space().sorted_dist(0).tolist() == [0.0]
 
     def test_deduplication(self):
         # a tied distance is one breakpoint: both atoms enter the ball at once
         sp = line_space([-1.0, 0.0, 1.0])
-        assert sp.sorted_dist[1].tolist() == [0.0, 1.0, 1.0]
+        assert sp.sorted_dist(1).tolist() == [0.0, 1.0, 1.0]
         assert sp.open_measure(1, 1.0) == 1.0 and sp.closed_measure(1, 1.0) == 3.0
 
     def test_right_limit_identity(self):
@@ -110,7 +113,7 @@ class TestBreakpoints:
         for seed in range(10):
             sp = random_space(seed)
             for x in range(sp.n):
-                bp = np.unique(sp.sorted_dist[x])
+                bp = np.unique(sp.sorted_dist(x))
                 gaps = np.diff(bp)
                 g = float(gaps.min()) / 2.0 if gaps.size else 0.5
                 for rho in bp:
@@ -314,8 +317,47 @@ class TestTables:
             csum = np.cumsum(sp.mass[sp.order], axis=1)
             assert np.array_equal(sp.csum0, np.concatenate([np.zeros((sp.n, 1)), csum], axis=1))
             for k in (0.5, 1.0, 1.5, 2.0, 6.0):
-                rows = np.array([sp.closed_measure(x, k * sp.sorted_dist[x]) for x in range(sp.n)])
+                rows = np.array([sp.closed_measure(x, k * sp.sorted_dist(x)) for x in range(sp.n)])
                 assert np.array_equal(sp.dilated_measure(k), rows), k
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_order_is_the_stable_argsort(self, n):
+        """``order`` takes the smallest unsigned dtype that indexes n points (at
+        n = 257 a uint8 index 256 would wrap to 0) and is the stable argsort of
+        each row, ties in index order; ``sorted_dist`` reads ``dist`` through
+        it for an int row, an index array and slices across the 64-row block
+        edges."""
+        i = np.arange(n, dtype=float)
+        tied = validate_space(np.abs(i[:, None] - i[None, :]), np.ones(n))  # d(x, x - j) == d(x, x + j)
+        for sp in (random_space(n, n), tied):
+            want = np.argsort(sp.dist, axis=1, kind="stable")
+            assert sp.order.dtype == np.min_scalar_type(n - 1)
+            assert np.array_equal(sp.order, want)
+            rows = np.take_along_axis(sp.dist, want, axis=1)
+            for x in sorted({0, n // 2, n - 1}):
+                assert sp.sorted_dist(x).shape == (n,)
+                assert np.array_equal(sp.sorted_dist(x), rows[x])
+            for a, b in ((0, n), (0, 63), (0, 64), (0, 65), (63, 65), (64, 129), (65, n)):
+                assert np.array_equal(sp.sorted_dist(slice(a, b)), rows[a:b]), (a, b)
+            assert np.array_equal(sp.sorted_dist(), rows)
+            assert np.array_equal(sp.sorted_dist(np.array([n - 1, 0])), rows[[n - 1, 0]])
+
+    def test_space_holds_two_float_tables(self):
+        """Building a space at n = 512 (a uint16 ``order``) peaks under 1.5
+        n x n float tables and keeps under 1.3 of them, ``dist`` given: the
+        kept tables are ``csum0`` and ``order``, and the argsort runs one row
+        block at a time."""
+        sp = generate_space(SpaceSpec("random-points", n=512, dim=2, seed=1))
+        table = sp.n * sp.n * 8
+        tracemalloc.start()
+        try:
+            built = MetricMeasureSpace(sp.dist, sp.mass)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.order.dtype == np.uint16
+        assert peak < 1.5 * table, peak / table
+        assert kept < 1.3 * table, kept / table
 
     def test_empty_space_is_a_shape_violation(self):
         assert find_violations(np.zeros((0, 0)), np.zeros(0)) == [Violation("Shape", ("no points",))]
