@@ -65,23 +65,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _take(raw: dict, context: str, required: tuple, optional: dict) -> dict:
-    """Pull keys out of a config mapping; unknown keys are an error."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key in required:
-        if key not in raw:
-            raise ConfigError(f"{context}: missing required key {key!r}")
-        out[key] = raw[key]
-    for key, default in optional.items():
-        out[key] = raw.get(key, default)
-    return out
-
-
 @dataclass(frozen=True)
 class EstimateRequest:
     check: str
@@ -117,64 +100,78 @@ class ExperimentConfig:
     raw: dict
 
 
-def _list(key: str, value) -> list:
-    """A config value that must be a list (a scalar would be iterated or crash)."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list, got {type(value).__name__}")
-    return value
+# A config section is read by its key table, {key: (type, default)}.  A type
+# is one of _JSON_TYPES, a key table (a section), ``np.ndarray`` (JSON numbers
+# nested in lists) or ``object`` (any value, checked by the caller).  The JSON
+# types of each type: ``int()`` would truncate 4.9 and read ``true`` as 1,
+# ``float()`` would read ``"nan"``, and ``str()`` would read ``null`` as
+# "None".  A boolean is none of them.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list, tuple)}
+_REQUIRED = object()  # the default of a key that the section must set
+_CONFIG = {"seed": (int, 0), **dict.fromkeys(("spaces", "functions", "exponents", "checks"), (list, _REQUIRED)),
+           "gamma_grid": ({"lo": (float, GAMMA_LO), "hi": (float, GAMMA_HI), "count": (int, GAMMA_COUNT)}, {}),
+           "output_dir": (str, "morrey-lab-out")}
 
 
-# The JSON types a config value of each field type may have: ``int()`` would
-# truncate 4.9 and read ``true`` as 1, ``float()`` would read ``"nan"``, and
-# ``str()`` would read ``null`` as "None".  A boolean is none of them.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+def _take(raw, context: str, keys: dict) -> dict:
+    """The values of a config section by its key table: an unknown key or a
+    missing required one is an error, and every value, a default too, is
+    read as its type (``_coerce``)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {type(raw).__name__}")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in keys.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+        out[key] = _coerce(context, key, kind, value)
+    return out
 
 
 def _coerce(context: str, key: str, kind, value):
-    """``kind(value)`` for a value of one of ``kind``'s JSON types."""
-    error = ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}")
-    if type(value) not in _JSON_TYPES[kind]:
-        raise error
-    try:
-        return kind(value)
-    except OverflowError as exc:  # an integer past the float range
-        raise error from exc
+    """``value`` read as ``kind`` (see the key tables): ``kind(value)`` for a
+    value of one of ``kind``'s JSON types."""
+    if isinstance(kind, dict):  # a section or a list is named by its path: "gamma_grid", "checks[0].sweep.kappas"
+        return _take(value, f"{context}.{key}".removeprefix("config."), kind)
+    if kind is np.ndarray:
+        leaves = np.array(value, dtype=object)
+        return np.array([_coerce(context, key, float, v) for v in leaves.flat], dtype=float).reshape(leaves.shape)
+    if kind is object:
+        return value
+    if type(value) in _JSON_TYPES[kind]:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    if kind is list:
+        raise ConfigError(f"{context}.{key}".removeprefix("config.") + f": expected a list, got {type(value).__name__}")
+    raise ConfigError(f"{context}: {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _spec_defaults(cls, skip=()) -> dict:
-    """The config keys of a spec dataclass: its field names and defaults."""
-    return {f.name: (None if f.default is MISSING else f.default) for f in fields(cls) if f.name not in skip}
-
-
-def _build_spec(cls, ent: dict, context: str, **given):
-    """``cls`` from a config entry, each field coerced to its annotated type."""
+@functools.cache
+def _fields(cls) -> dict:
+    """The key table of a dataclass: each field's annotated type and default."""
     types = typing.get_type_hints(cls)
-    kwargs = {f.name: _coerce(context, f.name, types[f.name], ent[f.name]) for f in fields(cls) if f.name not in given}
-    try:
-        return cls(**kwargs, **given)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return {f.name: (types[f.name], _REQUIRED if f.default is MISSING else f.default) for f in fields(cls)}
 
 
 def _parse_spec_entry(cls, raw, context: str, default_id: str, default_seed: int):
-    """(id, spec) for a generated entry, (id, path) for a file entry."""
-    ent = _take(raw, context, (), {"id": default_id, "file": None, **_spec_defaults(cls), "seed": None})
-    ident = _coerce(context, "id", str, ent["id"])
-    if ent["file"] is not None:
-        return ident, _coerce(context, "file", str, ent["file"])
-    if ent["family"] is None:
-        raise ConfigError(f"{context}: need either 'file' or 'family'")
-    if ent["seed"] is None:
-        ent["seed"] = default_seed
-    return ident, _build_spec(cls, ent, context)
-
-
-def _parse_space_entry(raw, index, default_seed):
-    return _parse_spec_entry(SpaceSpec, raw, f"spaces[{index}]", f"space{index}", default_seed)
-
-
-def _parse_function_entry(raw, index, default_seed):
-    return _parse_spec_entry(FunctionSpec, raw, f"functions[{index}]", f"fn{index}", default_seed)
+    """(id, spec) for a generated entry, (id, path) for a file entry, which
+    takes only ``id`` and ``file``."""
+    keys = {"id": (str, default_id), "file": (str, _REQUIRED)}
+    if not (isinstance(raw, dict) and "file" in raw):
+        keys = {"id": (str, default_id), **_fields(cls), "seed": (int, default_seed)}
+    ent = _take(raw, context, keys)
+    ident = ent.pop("id")
+    if "file" in ent:
+        return ident, ent["file"]
+    try:
+        return ident, cls(**ent)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _unique_ids(key: str, entries: list) -> list:
@@ -187,20 +184,17 @@ def _unique_ids(key: str, entries: list) -> list:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    top = _take(
-        raw,
-        "config",
-        ("spaces", "functions", "exponents", "checks"),
-        {"seed": 0, "gamma_grid": {}, "output_dir": "morrey-lab-out"},
-    )
-    seed = _coerce("config", "seed", int, top["seed"])
+    top = _take(raw, "config", _CONFIG)
+    seed = top["seed"]
     if not 0 <= seed < 2**64:
         raise ConfigError(f"config: seed must lie in [0, 2**64), got {seed}")
-    for key in ("spaces", "functions", "exponents", "checks"):
-        _list(key, top[key])
-    spaces = [_parse_space_entry(s, i, rng.u64(seed, 1, i) >> 1) for i, s in enumerate(top["spaces"])]
+    spaces = [
+        _parse_spec_entry(SpaceSpec, s, f"spaces[{i}]", f"space{i}", rng.u64(seed, 1, i) >> 1)
+        for i, s in enumerate(top["spaces"])
+    ]
     functions = [
-        _parse_function_entry(f, i, rng.u64(seed, 2, i) >> 1) for i, f in enumerate(top["functions"])
+        _parse_spec_entry(FunctionSpec, f, f"functions[{i}]", f"fn{i}", rng.u64(seed, 2, i) >> 1)
+        for i, f in enumerate(top["functions"])
     ]
     if not spaces or not functions or not top["checks"]:
         raise ConfigError("config needs at least one space, one function and one check")
@@ -216,41 +210,37 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"exponents[{i}] {list(triple)}: {exc}") from exc
 
     checks, estimates, sweeps = [], [], []
+    optimizer_keys = {key: kd for key, kd in _fields(OptimizerConfig).items() if key != "seed"}  # seed: the config's
     for i, item in enumerate(top["checks"]):
         if isinstance(item, str):
             if item not in CHECK_IDS:
                 raise ConfigError(f"checks[{i}]: unknown check id {item!r}")
+            if item in checks:
+                raise ConfigError(f"checks[{i}]: duplicate check id {item!r}")
             checks.append(item)
         elif isinstance(item, dict) and set(item) == {"estimate"}:
             ctx = f"checks[{i}].estimate"
-            ent = _take(
-                item["estimate"],
-                ctx,
-                ("check",),
-                {"space": space_ids[0], "exponent": 0, **_spec_defaults(OptimizerConfig, skip=("seed",))},
-            )
-            if ent["check"] not in CHECK_IDS:
-                raise ConfigError(f"{ctx}: unknown check id {ent['check']!r}")
-            space = _coerce(ctx, "space", str, ent["space"])
+            keys = {"check": (str, _REQUIRED), "space": (str, space_ids[0]), "exponent": (int, 0), **optimizer_keys}
+            ent = _take(item["estimate"], ctx, keys)
+            check, space, exponent = ent.pop("check"), ent.pop("space"), ent.pop("exponent")
+            if check not in CHECK_IDS:
+                raise ConfigError(f"{ctx}: unknown check id {check!r}")
             if space not in space_ids:
                 raise ConfigError(f"{ctx}: unknown space {space!r}")
-            exponent = _coerce(ctx, "exponent", int, ent["exponent"])
             if not 0 <= exponent < len(exponents):
                 raise ConfigError(f"{ctx}: exponent index {exponent} out of range")
-            optimizer = _build_spec(OptimizerConfig, ent, ctx, seed=seed)
-            estimates.append(EstimateRequest(check=ent["check"], space=space, exponent=exponent, optimizer=optimizer))
+            try:
+                optimizer = OptimizerConfig(seed=seed, **ent)
+            except ValueError as exc:
+                raise ConfigError(f"{ctx}: {exc}") from exc
+            estimates.append(EstimateRequest(check=check, space=space, exponent=exponent, optimizer=optimizer))
         elif isinstance(item, dict) and set(item) == {"sweep"}:
             ctx = f"checks[{i}].sweep"
-            ent = _take(item["sweep"], ctx, ("alpha", "p"), {"kappas": [1.0, 1.5, 2.0], "function": function_ids[0]})
-            function = _coerce(ctx, "function", str, ent["function"])
-            if function not in function_ids:
-                raise ConfigError(f"{ctx}: unknown function {function!r}")
-            sweep = SweepRequest(
-                alpha=_coerce(ctx, "alpha", float, ent["alpha"]),
-                p=_coerce(ctx, "p", float, ent["p"]),
-                kappas=tuple(_coerce(ctx, "kappas", float, k) for k in _list(f"{ctx}.kappas", ent["kappas"])),
-                function=function,
-            )
+            ent = _take(item["sweep"], ctx, {"alpha": (float, _REQUIRED), "p": (float, _REQUIRED),
+                                             "kappas": (list, [1.0, 1.5, 2.0]), "function": (str, function_ids[0])})
+            if ent["function"] not in function_ids:
+                raise ConfigError(f"{ctx}: unknown function {ent['function']!r}")
+            sweep = SweepRequest(**{**ent, "kappas": tuple(_coerce(ctx, "kappas", float, k) for k in ent["kappas"])})
             try:  # T2's (p, alpha) range and positive kernel dilations, before any space is built
                 hedberg_constant(sweep.p, sweep.alpha)
                 if not all(k > 0.0 for k in sweep.kappas):
@@ -264,24 +254,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if per_triple and not exponents:
         raise ConfigError(f"checks {per_triple} need at least one [p, q, alpha] triple in exponents")
 
-    gg = _take(top["gamma_grid"], "gamma_grid", (), {"lo": GAMMA_LO, "hi": GAMMA_HI, "count": GAMMA_COUNT})
-    gamma_lo = _coerce("gamma_grid", "lo", float, gg["lo"])
-    gamma_hi = _coerce("gamma_grid", "hi", float, gg["hi"])
-    gamma_count = _coerce("gamma_grid", "count", int, gg["count"])
-    if not (0.0 < gamma_lo < math.inf and 0.0 < gamma_hi < math.inf and gamma_count >= 1):
+    gg = top["gamma_grid"]
+    if not (0.0 < gg["lo"] < math.inf and 0.0 < gg["hi"] < math.inf and gg["count"] >= 1):
         raise ConfigError(f"gamma_grid: need finite lo > 0, finite hi > 0 and count >= 1, got {gg}")
     return ExperimentConfig(
-        seed=seed,
-        spaces=spaces,
-        functions=functions,
-        exponents=exponents,
-        checks=checks,
-        estimates=estimates,
-        sweeps=sweeps,
-        gamma_lo=gamma_lo,
-        gamma_hi=gamma_hi,
-        gamma_count=gamma_count,
-        output_dir=_coerce("config", "output_dir", str, top["output_dir"]),
+        seed=seed, spaces=spaces, functions=functions, exponents=exponents, checks=checks, estimates=estimates,
+        sweeps=sweeps, gamma_lo=gg["lo"], gamma_hi=gg["hi"], gamma_count=gg["count"], output_dir=top["output_dir"],
         raw=raw,
     )
 
@@ -290,15 +268,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
 # space / function file IO
 
 
+_SPACE_FILE = {"n": (object, _REQUIRED), "dist": (np.ndarray, _REQUIRED), "mass": (np.ndarray, _REQUIRED)}
+
+
 def _read_space_doc(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The (dist, mass) arrays of a space file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    ent = _take(doc, path, ("n", "dist", "mass"), {})
-    n = ent["n"]
+        doc = _take(json.load(fh), path, _SPACE_FILE)
+    n = doc["n"]
     if type(n) is not int:  # a bool is an int subclass, and int() would truncate 2.9
         raise ValueError(f"'n' must be an integer, got {n!r}")
-    return np.asarray(ent["dist"], dtype=float).reshape(n, n), np.asarray(ent["mass"], dtype=float)
+    return doc["dist"].reshape(n, n), doc["mass"]
 
 
 def load_space_file(path: str) -> MetricMeasureSpace:
@@ -314,7 +294,7 @@ def save_space_file(space: MetricMeasureSpace, path: str):
 
 def load_function_file(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return np.asarray(json.load(fh), dtype=float)
+        return _coerce(path, "values", np.ndarray, json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +649,7 @@ def main(argv=None) -> int:
         try:
             with open(args.spec_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            sid, spec = _parse_space_entry(raw, 0, 0)  # seed 0 unless the spec sets one
+            sid, spec = _parse_spec_entry(SpaceSpec, raw, "spaces[0]", "space0", 0)  # seed 0 unless the spec sets one
             if isinstance(spec, str):
                 raise ConfigError("gen spec must be a generator family, not a file reference")
             space = _generate_space(sid, spec)

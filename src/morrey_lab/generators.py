@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .space import MetricMeasureSpace, row_blocks, validate_space
+from .space import MAX_POINTS, MetricMeasureSpace, row_blocks, validate_space
 
 SPACE_FAMILIES = ("grid", "gaussian-grid", "radial-decay-grid", "ultrametric-tree", "random-points")
 FUNCTION_FAMILIES = ("constant", "ball-indicator", "power-spike", "random-sparse", "random-uniform")
@@ -45,6 +45,10 @@ class SpaceSpec:
             raise InvalidSpec(f"need finite halfwidth > 0 and finite beta >= 0: {self}")
         if not 0 <= self.seed < 2**64:
             raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")
+        cap = MAX_POINTS.bit_length()  # an exponent past 13 takes n**dim (n >= 2) and 2**depth past MAX_POINTS
+        points = {"ultrametric-tree": 2 ** min(self.depth, cap), "random-points": self.n}
+        if points.get(self.family, self.n ** min(self.dim, cap)) > MAX_POINTS:
+            raise InvalidSpec(f"a generated space holds at most MAX_POINTS = {MAX_POINTS} points: {self}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ TRIANGLE_RTOL = 1e-12
 
 _ROWS = 64  # rows of an n x n table that one pass holds at a time
 
+# Most points of a generated space.  At 4096 points each n x n float64 table is
+# 128 MiB: a space holds 288 MiB, and a run with the corpus's four dilation
+# tables stays under about 1.2 GiB.
+MAX_POINTS = 4096
+
 
 def row_blocks(n: int):
     """Consecutive slices of at most ``_ROWS`` rows that cover range(n)."""

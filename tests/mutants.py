@@ -209,6 +209,34 @@ MUTANTS = (
         ("tests/test_cli.py::TestConfigErrorsExitTwo::test_mistyped_number",),
     ),
     Mutant(
+        "config-required-key-ignored",
+        "cli.py",
+        "if value is _REQUIRED:",
+        "if False:",
+        (
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_missing_required_key",
+            "tests/test_cli.py::TestSpaceFiles::test_validate_missing_mass_exits_two",
+        ),
+    ),
+    Mutant(
+        "file-numbers-read-by-float",
+        "cli.py",
+        "return np.array([_coerce(context, key, float, v) for v in leaves.flat], dtype=float).reshape(leaves.shape)",
+        "return leaves.astype(float)",
+        (
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_function_file_of_non_numbers",
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_of_non_numbers",
+            "tests/test_cli.py::TestSpaceFiles::test_validate_non_numbers_exit_two",
+        ),
+    ),
+    Mutant(
+        "max-points-exponent-cap-one-short",
+        "generators.py",
+        "cap = MAX_POINTS.bit_length()",
+        "cap = MAX_POINTS.bit_length() - 1",
+        ("tests/test_generators.py::TestSpaces::test_max_points_at_parse_time",),  # 2**12 points at dim 13
+    ),
+    Mutant(
         "t1-divides-by-reciprocal",
         "theorems.py",
         "w * norm / gammas",

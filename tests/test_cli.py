@@ -366,6 +366,105 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith("config error: function 'f' on space 'g4': center 10 out of range for n=4")
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"checks": None}, "config: missing required key 'checks'"),
+            ({"checks": [{"sweep": {"p": 2.0}}]}, "checks[0].sweep: missing required key 'alpha'"),
+            ({"checks": [{"estimate": {"space": "g4"}}]}, "checks[0].estimate: missing required key 'check'"),
+            ({"spaces": [{"id": "g", "n": 4}]}, "spaces[0]: missing required key 'family'"),
+        ],
+        ids=["config-checks", "sweep-alpha", "estimate-check", "space-family"],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, overrides, message):
+        raw = {**BASE_CONFIG, **overrides}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: v for key, v in raw.items() if v is not None}))
+        assert cli.main(["--quiet", "run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"seed": None}, "config: 'seed' must be int, got None"),
+            ({"spaces": [{"id": "g", "family": "grid", "seed": None}]}, "spaces[0]: 'seed' must be int, got None"),
+            ({"functions": [{"id": "f", "file": None}]}, "functions[0]: 'file' must be str, got None"),
+            ({"gamma_grid": {"count": None}}, "gamma_grid: 'count' must be int, got None"),
+            ({"checks": [{"estimate": {"check": "T6", "restarts": None}}]}, "checks[0].estimate: 'restarts' must be int, got None"),
+        ],
+        ids=["config-seed", "space-seed", "function-file", "gamma-count", "estimate-restarts"],
+    )
+    def test_explicit_null_is_a_type_error(self, tmp_path, capsys, overrides, message):
+        """A null never stands for the default, nor a file entry for a generated one."""
+        code, err = self.run_with(tmp_path, capsys, overrides)
+        assert code == 2
+        assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["spaces", "functions"])
+    def test_file_entry_takes_only_id_and_file(self, tmp_path, capsys, kind):
+        """The generator keys of a file entry would be ignored, not read."""
+        save_space_file(generate_space(SpaceSpec("grid", n=4)), str(tmp_path / "sp.json"))
+        (tmp_path / "f.json").write_text(json.dumps([1.0, 2.0, 3.0, 4.0]))
+        entry = {"spaces": {"id": "g", "file": "sp.json"}, "functions": {"id": "f", "file": "f.json"}}[kind]
+        code, _ = self.run_with(tmp_path, capsys, {kind: [entry]})
+        assert code == 0
+        code, err = self.run_with(tmp_path, capsys, {kind: [{**entry, "family": "grid", "n": "junk"}]})
+        assert code == 2
+        assert err == f"config error: {kind}[0]: unknown keys ['family', 'n']\n"
+
+    def test_repeated_check_id(self, tmp_path, capsys):
+        """A repeated check would write every record twice and count each pass twice."""
+        code, err = self.run_with(tmp_path, capsys, {"checks": ["T2", "T6", "T2"]})
+        assert code == 2
+        assert err == "config error: checks[2]: duplicate check id 'T2'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_weak_l1_estimate_needs_an_exponent_triple(self, tmp_path, capsys):
+        """weakL1 needs no triple as a check, but an estimate names one by index."""
+        code, _ = self.run_with(tmp_path, capsys, {"exponents": [], "checks": ["weakL1"]})
+        assert code == 0
+        code, err = self.run_with(tmp_path, capsys, {"exponents": [], "checks": [{"estimate": {"check": "weakL1"}}]})
+        assert code == 2
+        assert err == "config error: checks[0].estimate: exponent index 0 out of range\n"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, "0.5", 1, 2], [1, 2, 3, "4"], [1, 2, None, 4], [[1, 2], [3, False]], [10**400, 1, 1, 1]],
+        ids=["bool-and-string", "string", "null", "nested-bool", "past-float"],
+    )
+    def test_function_file_of_non_numbers(self, tmp_path, capsys, values):
+        """float() would read true as 1.0, "4" as 4.0 and null as NaN."""
+        (tmp_path / "f.json").write_text(json.dumps(values))
+        code, err = self.run_with(tmp_path, capsys, {"functions": [{"id": "f", "file": "f.json"}]})
+        assert code == 2
+        assert err.startswith(f"config error: cannot use input file {tmp_path / 'f.json'}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_space_file_of_non_numbers(self, tmp_path, capsys):
+        (tmp_path / "sp.json").write_text(json.dumps({"n": 2, "dist": [[0, 1], [1, 0]], "mass": [1, "2"]}))
+        code, err = self.run_with(tmp_path, capsys, {"spaces": [{"id": "x", "file": "sp.json"}]})
+        assert code == 2
+        path = tmp_path / "sp.json"
+        assert err == f"config error: cannot use input file {path}: {path}: 'mass' must be float, got '2'\n"
+
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    @pytest.mark.parametrize(
+        "entry",
+        [{"family": "ultrametric-tree", "depth": 40}, {"family": "grid", "n": 2, "dim": 10**12}],
+        ids=["tree", "grid"],
+    )
+    def test_space_past_max_points(self, tmp_path, capsys, monkeypatch, command, entry):
+        """Rejected when the spec is read: exit 2, not numpy's MemoryError (exit 1)."""
+
+        def unbuilt(spec):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr(cli, "generate_space", unbuilt)
+        code, err = self.build_space(tmp_path, capsys, command, entry)
+        assert code == 2
+        assert err.startswith("config error: spaces[0]: a generated space holds at most MAX_POINTS = 4096 points")
+
 
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):
@@ -408,6 +507,29 @@ class TestSpaceFiles:
         path.write_text(json.dumps({"n": n, "dist": [0.0] * int(n) ** 2, "mass": [1.0] * int(n)}))
         assert cli.main(["validate", str(path)]) == 2
         assert "'n' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "dist": [0, "1", True, 0], "mass": [1, "2"]},
+            {"n": 2, "dist": [0, 1, 1, 0], "mass": [1, True]},
+            {"n": 2, "dist": [[0, 1], [1, None]], "mass": [1, 1]},
+            {"n": 2, "dist": [0, 1, 1, 0], "mass": [1, 10**400]},
+        ],
+        ids=["string-and-bool", "bool-mass", "nested-null", "past-float"],
+    )
+    def test_validate_non_numbers_exit_two(self, tmp_path, capsys, doc):
+        """float() would read "1" and true as 1.0 and null as NaN."""
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read space file: {path}: '")
+
+    def test_validate_missing_mass_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": 1, "dist": [0]}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"cannot read space file: {path}: missing required key 'mass'\n"
 
     def test_gen_then_validate(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -148,6 +148,35 @@ class TestSpaces:
         with pytest.raises(InvalidSpec):
             SpaceSpec("klein-bottle")
 
+    @pytest.mark.parametrize(
+        "kwargs,accepted",
+        [
+            ({"family": "grid", "n": 4096}, True),
+            ({"family": "gaussian-grid", "n": 64, "dim": 2}, True),
+            ({"family": "radial-decay-grid", "n": 16, "dim": 3}, True),
+            ({"family": "random-points", "n": 4096, "dim": 3}, True),
+            ({"family": "ultrametric-tree", "depth": 12}, True),
+            ({"family": "grid", "n": 4097}, False),
+            ({"family": "grid", "n": 2, "dim": 13}, False),
+            ({"family": "radial-decay-grid", "n": 17, "dim": 3}, False),
+            ({"family": "random-points", "n": 4097}, False),
+            ({"family": "ultrametric-tree", "depth": 13}, False),
+            ({"family": "ultrametric-tree", "depth": 10**18}, False),
+            ({"family": "grid", "n": 3, "dim": 10**18}, False),
+        ],
+        ids=["grid-4096", "grid-64x64", "grid-16x16x16", "points-4096", "tree-depth-12", "grid-4097", "grid-2-dim-13",
+             "grid-17x17x17", "points-4097", "tree-depth-13", "tree-depth-1e18", "grid-dim-1e18"],
+    )
+    def test_max_points_at_parse_time(self, kwargs, accepted):
+        """Only the spec is built: MAX_POINTS bounds n**dim, 2**depth or n,
+        without raising anything to an absurd power."""
+        assert generators.MAX_POINTS == 4096
+        if accepted:
+            assert SpaceSpec(**kwargs).family == kwargs["family"]
+        else:
+            with pytest.raises(InvalidSpec, match="at most MAX_POINTS = 4096 points"):
+                SpaceSpec(**kwargs)
+
 
 class TestFunctions:
     def setup_method(self):
