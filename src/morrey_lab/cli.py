@@ -136,8 +136,13 @@ def _coerce(context: str, key: str, kind, value):
     value of one of ``kind``'s JSON types."""
     if isinstance(kind, dict):  # a section or a list is named by its path: "gamma_grid", "checks[0].sweep.kappas"
         return _take(value, f"{context}.{key}".removeprefix("config."), kind)
-    if kind is np.ndarray:
+    if kind is np.ndarray:  # one type check and one numpy pass; a leaf at a time only to name a bad one
         leaves = np.array(value, dtype=object)
+        if set(map(type, leaves.flat)) <= {int, float}:
+            try:
+                return np.array(value, dtype=float)
+            except OverflowError:  # an integer past the float range
+                pass
         return np.array([_coerce(context, key, float, v) for v in leaves.flat], dtype=float).reshape(leaves.shape)
     if kind is object:
         return value

@@ -77,11 +77,11 @@ def morrey_norm(space: MetricMeasureSpace, f, p: float, q: float = 1.0, k: float
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
     e = 1.0 / p - 1.0 / q  # <= 0
-    w, table, best = np.abs(f) ** q * space.mass, space.dilated_measure(k), 0.0
+    w, best = np.abs(f) ** q * space.mass, 0.0
     for rows in row_blocks(space.n):
         vals = space.cumulative(w, rows)
         vals **= 1.0 / q
-        vals *= table[rows] ** e
+        vals *= space.dilated_measure(k, rows) ** e
         best = vals.max(initial=best)  # the running maximum, through numpy: a NaN propagates
     return float(best)
 

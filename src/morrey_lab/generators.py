@@ -47,8 +47,12 @@ class SpaceSpec:
             raise InvalidSpec(f"seed must lie in [0, 2**64), got {self.seed}")
         cap = MAX_POINTS.bit_length()  # an exponent past 13 takes n**dim (n >= 2) and 2**depth past MAX_POINTS
         points = {"ultrametric-tree": 2 ** min(self.depth, cap), "random-points": self.n}
-        if points.get(self.family, self.n ** min(self.dim, cap)) > MAX_POINTS:
+        n_points = points.get(self.family, self.n ** min(self.dim, cap))
+        if n_points > MAX_POINTS:
             raise InvalidSpec(f"a generated space holds at most MAX_POINTS = {MAX_POINTS} points: {self}")
+        if n_points * self.dim > MAX_POINTS * 64:  # _euclidean's 64-row block is at most one MAX_POINTS table
+            raise InvalidSpec(f"a generated space holds at most MAX_POINTS * 64 = {MAX_POINTS * 64} coordinates"
+                              f" (points x dim): {self}")
 
 
 @dataclass(frozen=True)

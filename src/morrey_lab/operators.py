@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import ExponentOutOfRange, as_function
-from .space import MetricMeasureSpace, row_blocks
+from .space import _ROWS, MetricMeasureSpace, row_blocks
 
 
 def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
@@ -22,10 +22,10 @@ def maximal(space: MetricMeasureSpace, f, k: float = 2.0) -> np.ndarray:
     if k < 1.0:
         raise ExponentOutOfRange(f"need k >= 1, got {k}")
     f = as_function(space, f)
-    w, table, out = np.abs(f) * space.mass, space.dilated_measure(k), np.empty(space.n)
+    w, out = np.abs(f) * space.mass, np.empty(space.n)
     for rows in row_blocks(space.n):
         ratio = space.cumulative(w, rows)
-        ratio /= table[rows]
+        ratio /= space.dilated_measure(k, rows)
         ratio.max(axis=1, initial=0.0, out=out[rows])
     return out
 
@@ -41,10 +41,11 @@ def fractional_integral(space: MetricMeasureSpace, f, alpha: float, kappa: float
     if not kappa > 0.0:
         raise ExponentOutOfRange(f"kappa must be positive, got {kappa}")
     f = as_function(space, f)
-    fm, table, out = f * space.mass, space.dilated_measure(kappa), np.empty(space.n)
-    for rows in row_blocks(space.n):
-        km = np.empty_like(table[rows])
-        np.put_along_axis(km, space.order[rows], table[rows], axis=1)  # back to natural order
+    fm, out, buf = f * space.mass, np.empty(space.n), np.empty((min(space.n, _ROWS), space.n))
+    for rows in row_blocks(space.n):  # buf is every block's kernel: no block outlives its pass
+        order = space.order[rows]
+        km = buf[: len(order)]
+        np.put_along_axis(km, order, space.dilated_measure(kappa, rows), axis=1)  # back to natural order
         km **= alpha - 1.0
         km *= fm
         np.sum(km, axis=1, out=out[rows])

@@ -21,13 +21,19 @@ _ROWS = 64  # rows of an n x n table that one pass holds at a time
 
 # Most points of a generated space.  At 4096 points each n x n float64 table is
 # 128 MiB: a space holds 288 MiB, and a run with the corpus's four dilation
-# tables stays under about 1.2 GiB.
+# index tables (32 MiB each) holds 416 MiB of tables.
 MAX_POINTS = 4096
 
 
 def row_blocks(n: int):
     """Consecutive slices of at most ``_ROWS`` rows that cover range(n)."""
     return (slice(a, a + _ROWS) for a in range(0, n, _ROWS))
+
+
+def _closed_rank(sorted_row: np.ndarray, radii):
+    """How many entries of the sorted distance row lie within each radius:
+    the closed ball's size, the column of ``csum0`` holding its measure."""
+    return np.searchsorted(sorted_row, radii, side="right")
 
 
 class InvalidSpaceError(ValueError):
@@ -60,8 +66,10 @@ class MetricMeasureSpace:
     n x n float64 tables, ``dist`` and ``csum0``, each 8 n^2 bytes (0.5 MiB at
     n = 256, 32 MiB at n = 2048); ``order`` in the smallest unsigned dtype that
     indexes n points (1 byte per entry up to n = 256, 2 up to 65,536); one
-    float table per distinct k of ``dilated_measure``.  Every other n x n pass
-    holds one ``_ROWS`` x n block of ``row_blocks`` at a time.
+    index table per distinct k of ``dilated_measure``, its columns into
+    ``csum0`` in the smallest unsigned dtype that holds n (1 byte per entry up
+    to n = 255, 2 up to 65,535).  Every other n x n pass holds one ``_ROWS`` x n
+    block of ``row_blocks`` at a time.
     """
 
     dist: np.ndarray
@@ -104,24 +112,30 @@ class MetricMeasureSpace:
 
     def closed_measure(self, x: int, radii):
         """mu(closed ball(x, r)) for scalar or array radii."""
-        idx = np.searchsorted(self.sorted_dist(x), radii, side="right")
-        return self.csum0[x][idx]
+        return self.csum0[x][_closed_rank(self.sorted_dist(x), radii)]
 
     def open_measure(self, x: int, radii):
         """mu(open ball(x, r)) for scalar or array radii."""
         idx = np.searchsorted(self.sorted_dist(x), radii, side="left")
         return self.csum0[x][idx]
 
-    def dilated_measure(self, k: float) -> np.ndarray:
-        """Read-only T[x, j] = mu(closed ball(x, k * sorted_dist(x)[j])), built once per k."""
-        table = self._dilated.get(k)
-        if table is None:
-            table = np.empty((self.n, self.n))
-            for x in range(self.n):
-                table[x] = self.closed_measure(x, k * self.sorted_dist(x))
-            table.setflags(write=False)
-            self._dilated[k] = table
-        return table
+    def dilated_measure(self, k: float, rows=slice(None)) -> np.ndarray:
+        """Rows of T[x, j] = mu(closed ball(x, k * sorted_dist(x)[j])), one 1-D
+        row for an int x, read from ``csum0`` through the read-only index table
+        of k: idx[x, j] is the column of ``csum0`` that holds T[x, j].  The
+        table is built once per k, from one block of sorted rows at a time."""
+        index = self._dilated.get(k)
+        if index is None:
+            index = np.empty((self.n, self.n), dtype=np.min_scalar_type(self.n))
+            for block in row_blocks(self.n):
+                for x, row in enumerate(self.sorted_dist(block), block.start):
+                    index[x] = _closed_rank(row, k * row)
+            index.setflags(write=False)
+            self._dilated[k] = index
+        index, csum = index[rows], self.csum0[rows]
+        if index.ndim == 2:  # flat take, as in sorted_dist
+            index = index + np.arange(0, csum.size, self.n + 1)[:, None]
+        return csum.take(index)
 
     def cumulative(self, weights: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Row x of ``rows``, column j: sum of ``weights`` over the j+1 nearest points of x.
@@ -141,7 +155,10 @@ def find_violations(dist, mass) -> list[Violation]:
     The triangle check takes O(n^3) time, one n x n buffer and a row block of low: row i is expanded
     into witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
     The screen is exact: the slack v + rtol * max(v, 1) is monotone in v, also in floating
-    point, and fmin skips NaN sums, which never compare as violations."""
+    point, and fmin skips NaN sums, which never compare as violations.  When dist equals its
+    transpose exactly (so holds no NaN), d(k,j) + d(j,i) is the same double as d(i,j) + d(j,k),
+    so (i, j, k) is violated iff (k, j, i) is and low is symmetric: row i screens only the
+    columns k >= i, half the sums, and a flagged (i, k) makes both rows suspects."""
     dist = np.asarray(dist, dtype=float)
     mass = np.asarray(mass, dtype=float)
     out: list[Violation] = []
@@ -166,16 +183,22 @@ def find_violations(dist, mass) -> list[Violation]:
         if i < j:
             out.append(Violation("Asymmetry", (int(i), int(j))))
     # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack
-    buf, suspects = np.empty((n, n)), []
+    half = len(asym) == 0  # dist == dist.T exactly
+    buf, suspects = np.empty(n * n), set()
     for rows in row_blocks(n):
-        low = np.empty_like(dist[rows])
+        low = np.full_like(dist[rows], np.inf)  # in the half screen, columns k < i stay inf: never flagged
         for i, low_i in enumerate(low, rows.start):  # low_i[k]: the least d(i,j) + d(j,k) over j, NaN sums skipped
-            np.fmin.reduce(np.add(dist[i][:, None], dist, out=buf), axis=0, out=low_i)
-        bound = np.maximum(low, 1.0, out=buf[: len(low)])
+            k = i if half else 0
+            via = np.add(dist[i][:, None], dist[:, k:], out=buf[: n * (n - k)].reshape(n, n - k))
+            np.fmin.reduce(via, axis=0, out=low_i[k:])
+        bound = np.maximum(low, 1.0, out=buf[: low.size].reshape(low.shape))
         bound *= TRIANGLE_RTOL
         bound += low
-        suspects += (rows.start + np.nonzero(np.any(dist[rows] > bound, axis=1))[0]).tolist()
-    for i in suspects:
+        hit_rows, hit_cols = np.nonzero(dist[rows] > bound)
+        suspects.update((rows.start + hit_rows).tolist())
+        if half:
+            suspects.update(hit_cols.tolist())
+    for i in sorted(suspects):
         via = dist[i][:, None] + dist  # via[j, k]
         viol = dist[i][None, :] > via + TRIANGLE_RTOL * np.maximum(via, 1.0)
         for j, k in np.argwhere(viol):
@@ -205,14 +228,19 @@ def doubling_ratio(space: MetricMeasureSpace) -> tuple[float, tuple[int, float]]
     balls.
     """
     # every denominator is at least the mass of x's zero-distance class > 0
-    at_bp = space.dilated_measure(2.0) / space.dilated_measure(1.0)  # r = sorted_dist(x)[j]
-    at_half = space.dilated_measure(1.0) / space.dilated_measure(0.5)  # r = sorted_dist(x)[j] / 2
-    row_max = np.maximum(at_bp.max(axis=1), at_half.max(axis=1))
+    def ratios(rows):  # r = sorted_dist(x)[j], and r = sorted_dist(x)[j] / 2
+        mu1 = space.dilated_measure(1.0, rows)
+        return space.dilated_measure(2.0, rows) / mu1, mu1 / space.dilated_measure(0.5, rows)
+
+    row_max = np.empty(space.n)
+    for rows in row_blocks(space.n):
+        at_bp, at_half = ratios(rows)
+        np.maximum(at_bp.max(axis=1), at_half.max(axis=1), out=row_max[rows])
     best = float(row_max.max())
     if not best > 1.0:
         return 1.0, (0, 0.0)
     # witness: the first point attaining the sup, at its smallest such radius
     x = int(np.argmax(row_max == best))
-    sd = space.sorted_dist(x)
-    r = min(np.where(at_bp[x] == best, sd, np.inf).min(), np.where(at_half[x] == best, sd / 2.0, np.inf).min())
+    sd, (at_bp, at_half) = space.sorted_dist(x), ratios(x)
+    r = min(np.where(at_bp == best, sd, np.inf).min(), np.where(at_half == best, sd / 2.0, np.inf).min())
     return best, (x, float(r))

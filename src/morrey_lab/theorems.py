@@ -114,7 +114,7 @@ def enumerate_balls(space: MetricMeasureSpace, limit: int = 64, seed: int = 0) -
     rows, row_of = np.unique(centers, return_inverse=True)
     radii, keep = _radius_rows(space, rows, diam)  # a row per sampled center
     firsts = np.cumsum(counts[rows]) - counts[rows]  # where each row's kept radii start among all kept
-    cols = np.nonzero(keep)[1][firsts[row_of] + ranks]
+    cols = np.flatnonzero(keep)[firsts[row_of] + ranks] % keep.shape[1]
     return list(zip(centers.tolist(), radii[row_of, cols].tolist()))
 
 

@@ -74,13 +74,44 @@ MUTANTS = (
     Mutant(
         "closed-measure-open-ball",
         "space.py",
-        'idx = np.searchsorted(self.sorted_dist(x), radii, side="right")',
-        'idx = np.searchsorted(self.sorted_dist(x), radii, side="left")',
+        'return np.searchsorted(sorted_row, radii, side="right")',  # also builds the dilated index tables
+        'return np.searchsorted(sorted_row, radii, side="left")',
         (
             "tests/test_space.py::TestBalls::test_measure_sums_atoms",
             "tests/test_space.py::TestDoubling::test_two_point_witness",
             "tests/test_operators.py::TestMaximal::test_two_point",
         ),
+    ),
+    Mutant(
+        "screen-half-rows-only",
+        "space.py",
+        "            suspects.update(hit_cols.tolist())",
+        "            pass",
+        ("tests/test_space.py::TestTriangleScreen::test_violation_witnessed_from_the_larger_row",),
+    ),
+    Mutant(
+        "screen-half-on-asymmetric",
+        "space.py",
+        "half = len(asym) == 0",
+        "half = True",
+        ("tests/test_space.py::TestTriangleScreen::test_nan_entry_takes_the_full_screen",),
+    ),
+    Mutant(
+        "dilated-index-left",
+        "space.py",
+        "index[x] = _closed_rank(row, k * row)",
+        'index[x] = np.searchsorted(row, k * row, side="left")',
+        (
+            "tests/test_operators.py::TestDilatedTable::test_table_built_once_per_space_and_k",
+            "tests/test_operators.py::TestDilatedTable::test_index_holds_n",
+        ),
+    ),
+    Mutant(
+        "dilated-index-dtype-one-short",
+        "space.py",
+        "np.min_scalar_type(self.n)",
+        "np.min_scalar_type(self.n - 1)",
+        ("tests/test_operators.py::TestDilatedTable::test_index_holds_n",),  # n = 256: index 256 wraps to 0
     ),
     Mutant(
         "floyd-bound-j",
@@ -221,8 +252,8 @@ MUTANTS = (
     Mutant(
         "file-numbers-read-by-float",
         "cli.py",
-        "return np.array([_coerce(context, key, float, v) for v in leaves.flat], dtype=float).reshape(leaves.shape)",
-        "return leaves.astype(float)",
+        "if set(map(type, leaves.flat)) <= {int, float}:",
+        "if True:",
         (
             "tests/test_cli.py::TestConfigErrorsExitTwo::test_function_file_of_non_numbers",
             "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_of_non_numbers",

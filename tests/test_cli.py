@@ -466,6 +466,20 @@ class TestConfigErrorsExitTwo:
         assert err.startswith("config error: spaces[0]: a generated space holds at most MAX_POINTS = 4096 points")
 
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_space_past_max_coordinates(self, tmp_path, capsys, monkeypatch, command):
+        """n=4 points of dim 10**8 are rejected when the spec is read, with
+        exit 2, before any coordinate is drawn."""
+
+        def unbuilt(spec):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr(cli, "generate_space", unbuilt)
+        code, err = self.build_space(tmp_path, capsys, command, {"family": "random-points", "n": 4, "dim": 10**8})
+        assert code == 2
+        assert err.startswith("config error: spaces[0]: a generated space holds at most MAX_POINTS * 64 = 262144")
+
+
 class TestSpaceFiles:
     def test_round_trip_exact(self, tmp_path):
         sp = generate_space(SpaceSpec("random-points", n=7, dim=2, seed=3))

@@ -178,6 +178,31 @@ class TestSpaces:
                 SpaceSpec(**kwargs)
 
 
+    @pytest.mark.parametrize(
+        ("kwargs", "accepted"),
+        [
+            ({"family": "random-points", "n": 4096, "dim": 64}, True),
+            ({"family": "grid", "n": 1, "dim": 262144}, True),
+            ({"family": "grid", "n": 2, "dim": 12}, True),
+            ({"family": "random-points", "n": 4096, "dim": 65}, False),
+            ({"family": "grid", "n": 1, "dim": 262145}, False),
+            ({"family": "random-points", "n": 4, "dim": 10**8}, False),
+            ({"family": "grid", "n": 1, "dim": 10**8}, False),
+        ],
+        ids=["points-4096x64", "grid-1-dim-262144", "grid-2-dim-12", "points-4096x65", "grid-1-dim-262145",
+             "points-4-dim-1e8", "grid-1-dim-1e8"],
+    )
+    def test_max_coordinates_at_parse_time(self, kwargs, accepted):
+        """Only the spec is built: points x dim is at most MAX_POINTS * 64, so
+        the 64-row difference block of the distances is at most one
+        MAX_POINTS float table."""
+        if accepted:
+            assert SpaceSpec(**kwargs).dim == kwargs["dim"]
+        else:
+            with pytest.raises(InvalidSpec, match=r"at most MAX_POINTS \* 64 = 262144 coordinates"):
+                SpaceSpec(**kwargs)
+
+
 class TestFunctions:
     def setup_method(self):
         self.sp = generate_space(SpaceSpec("grid", n=8, dim=1))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from morrey_lab import space as space_module
 from morrey_lab.cli import parse_config
 from morrey_lab.functions import ExponentOutOfRange, morrey_norm
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
@@ -268,29 +269,66 @@ class TestDilatedTable:
                         assert np.array_equal(got, loop_fractional_integral(sp, f, alpha, kappa)), (i, kappa)
 
     def test_table_built_once_per_space_and_k(self, monkeypatch):
+        """Each k's index table is built once per space, one row per point, and
+        kept read-only: idx[x, j] is the column of ``csum0`` holding
+        mu(closed ball(x, k * sorted_dist(x)[j])), in the smallest unsigned
+        dtype that holds n, and ``dilated_measure`` reads through it."""
         sp = generate_space(SpaceSpec("ultrametric-tree", depth=3))
         f = np.random.default_rng(3).uniform(0.0, 2.0, sp.n)
         calls = []
-        original = MetricMeasureSpace.closed_measure
+        original = space_module._closed_rank
 
-        def counted(self, x, radii):
-            calls.append(x)
-            return original(self, x, radii)
+        def counted(row, radii):
+            calls.append(len(row))
+            return original(row, radii)
 
-        monkeypatch.setattr(MetricMeasureSpace, "closed_measure", counted)
+        monkeypatch.setattr(space_module, "_closed_rank", counted)
         maximal(sp, f, 2.0)
         assert len(calls) == sp.n
         morrey_norm(sp, f, 2.0, 1.0, 2.0)
         fractional_integral(sp, f, 0.25)
         maximal(sp, 2.0 * f, 2.0)
         assert len(calls) == sp.n
-        table = sp.dilated_measure(2.0)
-        assert table is sp.dilated_measure(2.0) and not table.flags.writeable
-        assert table.shape == (sp.n, sp.n)
+        index = sp._dilated[2.0]
+        assert list(sp._dilated) == [2.0]
+        assert index.dtype == np.min_scalar_type(sp.n) and index.shape == (sp.n, sp.n)
+        assert not index.flags.writeable
         with pytest.raises(ValueError):
-            table[0, 0] = 0.0
-        sp.dilated_measure(6.0)
-        assert len(calls) == 2 * sp.n
+            index[0, 0] = 0
+        want = [np.searchsorted(sp.sorted_dist(x), 2.0 * sp.sorted_dist(x), side="right") for x in range(sp.n)]
+        assert np.array_equal(index, want)
+        assert np.array_equal(sp.dilated_measure(2.0), np.take_along_axis(sp.csum0, index.astype(int), axis=1))
+        sp.dilated_measure(6.0, 0)
+        assert len(calls) == 2 * sp.n and sp._dilated[2.0] is index
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_index_holds_n(self, n):
+        """The last column of every row, k >= 1, is index n, the whole space:
+        at n = 256 a uint8 table would wrap it to 0.  Rows read as an int, a
+        slice across a block edge and the whole table agree."""
+        sp = random_space(n, n)
+        for k in (1.0, 6.0):
+            whole = sp.dilated_measure(k)
+            assert np.array_equal(whole[:, -1], sp.csum0[:, -1]), k
+            assert sp._dilated[k].max() == n
+            rows = [sp.closed_measure(x, k * sp.sorted_dist(x)) for x in range(n)]
+            assert np.array_equal(whole, rows), k
+            assert np.array_equal(sp.dilated_measure(k, n - 1), whole[n - 1])
+            assert np.array_equal(sp.dilated_measure(k, slice(60, 130)), whole[60:130])
+
+    def test_index_table_is_a_quarter_table(self):
+        """At n = 512 one index table (uint16) retains a quarter of one n x n
+        float table, with less than a row's bytes besides."""
+        sp = generate_space(SpaceSpec("random-points", n=512, dim=2, seed=1))
+        table = sp.n * sp.n * 8
+        tracemalloc.start()
+        try:
+            sp.dilated_measure(2.0, 0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sp._dilated[2.0].dtype == np.uint16
+        assert kept <= table / 4 + 8 * sp.n, kept / table
 
 
 def traced_peak(call) -> int:
@@ -329,8 +367,9 @@ class TestInPlaceTemporaries:
     def test_operators_hold_one_row_block(self):
         """With the k = 2 and k = 6 tables built, each operator's traced peak at
         n = 512 stays under half of one n x n table; the 64 x n block and its
-        temporaries are 0.5 MiB of the 2 MiB table.  Building a table for a new
-        k holds the table and one row, not a second table."""
+        temporaries are 0.5 MiB of the 2 MiB table.  Reading a row of a new k
+        builds its index table, a quarter of a float table, and holds one block
+        of sorted rows besides, not a float table."""
         sp = generate_space(SpaceSpec("random-points", n=512, dim=2, seed=1))
         f = generate_function(sp, FunctionSpec("random-uniform", seed=1))
         for k in (2.0, 6.0):
@@ -339,7 +378,7 @@ class TestInPlaceTemporaries:
         assert traced_peak(lambda: maximal(sp, f, 2.0)) < table / 2
         assert traced_peak(lambda: fractional_integral(sp, f, 0.25, kappa=2.0)) < table / 2
         assert traced_peak(lambda: morrey_norm(sp, f, 2.0, 1.5, 6.0)) < table / 2
-        assert traced_peak(lambda: sp.dilated_measure(1.5)) < 1.25 * table
+        assert traced_peak(lambda: sp.dilated_measure(1.5, 0)) < 1.25 * table
 
 
 class TestLayerTable:

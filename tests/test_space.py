@@ -415,3 +415,54 @@ class TestTriangleScreen:
             assert got == row_find_violations(dist, sp.mass)
             assert got[0] == Violation("Asymmetry", (min(i, j), max(i, j)))
             assert sum(v.kind == "TriangleViolation" for v in got) == triangles
+
+    def test_violation_witnessed_from_the_larger_row(self):
+        """A symmetric input: the stretched pair (10, 140) is screened only in
+        row 10's half, columns k >= 10, yet row 140, two row blocks later,
+        still expands into its own witnesses (140, j, 10)."""
+        pts = np.random.default_rng(9).uniform(-1.0, 1.0, (150, 2))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        dist[10, 140] = dist[140, 10] = 3.0 * dist[10, 140] + 0.5
+        assert np.array_equal(dist, dist.T)
+        got = find_violations(dist, np.ones(150))
+        assert got == row_find_violations(dist, np.ones(150))
+        rows = [v.indices[0] for v in got]
+        assert set(rows) == {10, 140} and rows.count(140) == rows.count(10) > 0
+        assert all(v.kind == "TriangleViolation" and {v.indices[0], v.indices[2]} == {10, 140} for v in got)
+
+    def test_symmetric_noise_near_the_slack(self):
+        """Collinear triples meet the triangle inequality with equality; noise
+        of 1e-13 to 4e-12 relative, made symmetric by (d + d.T) / 2, puts sums
+        on both sides of the slack, and the half screen finds every row."""
+        x = np.arange(40, dtype=float)
+        line = np.abs(x[:, None] - x[None, :])
+        n_invalid = 0
+        for seed, scale in enumerate((1e-13, 1e-13, 1e-12, 4e-12)):
+            d = line * (1.0 + scale * np.random.default_rng(seed).standard_normal(line.shape))
+            dist = (d + d.T) / 2
+            assert np.array_equal(dist, dist.T)
+            n_invalid += bool(assert_same_violations(dist, np.ones(40)))
+        assert n_invalid >= 2
+
+    def test_symmetric_inf_entries(self):
+        """Symmetric inf entries keep the half screen: inf sums compare as
+        no violation, and an inf distance is violated through every finite
+        pair of finite sides."""
+        dist = np.ones((5, 5)) - np.eye(5)
+        dist[0, 4] = dist[4, 0] = np.inf
+        dist[1, 3] = dist[3, 1] = np.inf
+        got = assert_same_violations(dist, np.ones(5))
+        triangles = [v.indices for v in got if v.kind == "TriangleViolation"]
+        assert triangles == [(0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 0, 3), (1, 2, 3), (1, 4, 3),
+                             (3, 0, 1), (3, 2, 1), (3, 4, 1), (4, 1, 0), (4, 2, 0), (4, 3, 0)]
+        assert got[-1] == Violation("Shape", ("non-finite entries",))
+
+    def test_nan_entry_takes_the_full_screen(self):
+        """A NaN is not equal to itself, so the input is not symmetric and the
+        full screen runs: d(3, 0) = 3 but d(0, 3) = 1, so only row 3, which the
+        half screen would read from column 3 on, holds the violations."""
+        dist = np.ones((4, 4)) - np.eye(4)
+        dist[3, 0] = 3.0
+        dist[1, 2] = np.nan
+        got = assert_same_violations(dist, np.ones(4))
+        assert [v.indices for v in got if v.kind == "TriangleViolation"] == [(3, 1, 0), (3, 2, 0)]
