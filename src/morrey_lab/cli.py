@@ -39,7 +39,7 @@ from .extremal import OptimizerConfig, estimate_constant, kappa_sweep
 from .functions import ExponentOutOfRange, ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .operators import hedberg_constant
-from .space import MetricMeasureSpace, find_violations, validate_space
+from .space import MAX_POINTS, MetricMeasureSpace, find_violations, validate_space
 from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, enumerate_balls, evaluate
 
 CSV_COLUMNS = [
@@ -274,15 +274,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 _SPACE_FILE = {"n": (object, _REQUIRED), "dist": (np.ndarray, _REQUIRED), "mass": (np.ndarray, _REQUIRED)}
+# The largest file that save_space_file writes: MAX_POINTS**2 + MAX_POINTS numbers, each at
+# most 24 characters (the longest float repr, "-2.2250738585072014e-308") and a ", ", and
+# the keys.  About 416 MiB; json.load reads a file into Python floats before any check.
+_MAX_SPACE_FILE_BYTES = (MAX_POINTS**2 + MAX_POINTS) * (24 + 2) + 64
 
 
 def _read_space_doc(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The (dist, mass) arrays of a space file, not yet validated."""
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > _MAX_SPACE_FILE_BYTES:
+            raise ValueError(f"a space file holds at most {_MAX_SPACE_FILE_BYTES} bytes, got {size}")
         doc = _take(json.load(fh), path, _SPACE_FILE)
     n = doc["n"]
     if type(n) is not int:  # a bool is an int subclass, and int() would truncate 2.9
         raise ValueError(f"'n' must be an integer, got {n!r}")
+    if not 0 <= n <= MAX_POINTS:
+        raise ValueError(f"'n' must lie in [0, MAX_POINTS = {MAX_POINTS}], got {n}")
     return doc["dist"].reshape(n, n), doc["mass"]
 
 

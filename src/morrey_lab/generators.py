@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .space import MAX_POINTS, MetricMeasureSpace, row_blocks, validate_space
+from .space import MAX_POINTS, MetricMeasureSpace, _entry_violations, row_blocks, validate_space
 
 SPACE_FAMILIES = ("grid", "gaussian-grid", "radial-decay-grid", "ultrametric-tree", "random-points")
 FUNCTION_FAMILIES = ("constant", "ball-indicator", "power-spike", "random-sparse", "random-uniform")
@@ -138,11 +138,22 @@ def _space_arrays(spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generate_space(spec: SpaceSpec) -> MetricMeasureSpace:
-    """The space of ``spec``, validated once.  A number past the float range
-    becomes a non-finite entry, which validation reports."""
+    """The space of ``spec``, with the O(n^2) checks of ``find_violations``
+    and without its O(n^3) triangle screen, since every family is a metric:
+
+    - a finite Euclidean distance misses the triangle inequality by a few
+      ulps, far inside ``TRIANGLE_RTOL`` = 1e-12, and the absolute slack of
+      ``TRIANGLE_RTOL`` covers distances below 1, however they round;
+    - a number past the float range becomes a non-finite entry;
+    - tree distances are powers of two, an exact ultrametric.
+
+    Arrays that fail a check (a non-finite entry, or a mass that underflows
+    to 0) go through ``validate_space``, which lists every violation."""
     with np.errstate(over="ignore", invalid="ignore"):
         dist, mass = _space_arrays(spec)
-    return validate_space(dist, mass)
+    if _entry_violations(dist, mass):
+        return validate_space(dist, mass)
+    return MetricMeasureSpace(dist, mass)
 
 
 def generate_function(space: MetricMeasureSpace, spec: FunctionSpec) -> np.ndarray:

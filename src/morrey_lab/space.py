@@ -149,41 +149,33 @@ class MetricMeasureSpace:
         return np.cumsum(table, axis=1, out=table)
 
 
-def find_violations(dist, mass) -> list[Violation]:
-    """Every violated MetricMeasureSpace invariant, with indices.
-
-    The triangle check takes O(n^3) time, one n x n buffer and a row block of low: row i is expanded
-    into witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
-    The screen is exact: the slack v + rtol * max(v, 1) is monotone in v, also in floating
-    point, and fmin skips NaN sums, which never compare as violations.  When dist equals its
-    transpose exactly (so holds no NaN), d(k,j) + d(j,i) is the same double as d(i,j) + d(j,k),
-    so (i, j, k) is violated iff (k, j, i) is and low is symmetric: row i screens only the
-    columns k >= i, half the sums, and a flagged (i, k) makes both rows suspects."""
-    dist = np.asarray(dist, dtype=float)
-    mass = np.asarray(mass, dtype=float)
-    out: list[Violation] = []
+def _entry_violations(dist: np.ndarray, mass: np.ndarray, triangle: bool = False) -> list[Violation]:
+    """Every violated invariant in O(n^2): shape, diagonal, sign, symmetry, mass and finiteness;
+    with ``triangle``, the O(n^3) triangle screen's too, between symmetry and mass."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        out.append(Violation("Shape", (dist.shape,)))
-        return out
+        return [Violation("Shape", (dist.shape,))]
     n = dist.shape[0]
     if mass.shape != (n,):
-        out.append(Violation("Shape", (mass.shape,)))
-        return out
+        return [Violation("Shape", (mass.shape,))]
     if n == 0:
-        out.append(Violation("Shape", ("no points",)))
-        return out
+        return [Violation("Shape", ("no points",))]
 
-    for i in np.nonzero(np.diag(dist) != 0.0)[0]:
-        out.append(Violation("NonzeroDiagonal", (int(i),)))
-    bad = np.argwhere(dist < 0.0)
-    for i, j in bad:
-        out.append(Violation("NegativeDistance", (int(i), int(j))))
+    out = [Violation("NonzeroDiagonal", (int(i),)) for i in np.nonzero(np.diag(dist) != 0.0)[0]]
+    out += [Violation("NegativeDistance", (int(i), int(j))) for i, j in np.argwhere(dist < 0.0)]
     asym = np.argwhere(dist != dist.T)
-    for i, j in asym:
-        if i < j:
-            out.append(Violation("Asymmetry", (int(i), int(j))))
-    # d(i,k) <= d(i,j) + d(j,k), checked with a small relative slack
-    half = len(asym) == 0  # dist == dist.T exactly
+    out += [Violation("Asymmetry", (int(i), int(j))) for i, j in asym if i < j]
+    if triangle:
+        out += _triangle_violations(dist, len(asym) == 0)
+    out += [Violation("NonpositiveMass", (int(i),)) for i in np.nonzero(~(mass > 0.0))[0]]
+    if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
+        out.append(Violation("Shape", ("non-finite entries",)))
+    return out
+
+
+def _triangle_violations(dist: np.ndarray, half: bool) -> list[Violation]:
+    """Every (i, j, k) with d(i,k) > d(i,j) + d(j,k) past the slack, in O(n^3); ``half``: dist
+    equals its transpose exactly."""
+    n, out = dist.shape[0], []
     buf, suspects = np.empty(n * n), set()
     for rows in row_blocks(n):
         low = np.full_like(dist[rows], np.inf)  # in the half screen, columns k < i stay inf: never flagged
@@ -204,11 +196,22 @@ def find_violations(dist, mass) -> list[Violation]:
         for j, k in np.argwhere(viol):
             if i != j and j != k:
                 out.append(Violation("TriangleViolation", (i, int(j), int(k))))
-    for i in np.nonzero(~(mass > 0.0))[0]:
-        out.append(Violation("NonpositiveMass", (int(i),)))
-    if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(mass)):
-        out.append(Violation("Shape", ("non-finite entries",)))
     return out
+
+
+def find_violations(dist, mass) -> list[Violation]:
+    """Every violated MetricMeasureSpace invariant, with indices.
+
+    The triangle check takes O(n^3) time, one n x n buffer and a row block of low: row i is expanded
+    into witnesses only if some d(i,k) exceeds low[i, k] = min_j d(i,j) + d(j,k) plus its slack.
+    The screen is exact: the slack v + rtol * max(v, 1) is monotone in v, also in floating
+    point, and fmin skips NaN sums, which never compare as violations.  When dist equals its
+    transpose exactly (so holds no NaN), d(k,j) + d(j,i) is the same double as d(i,j) + d(j,k),
+    so (i, j, k) is violated iff (k, j, i) is and low is symmetric: row i screens only the
+    columns k >= i, half the sums, and a flagged (i, k) makes both rows suspects.
+    ``generate_space`` runs only the O(n^2) checks on arrays that pass them: its families are
+    metrics by construction."""
+    return _entry_violations(np.asarray(dist, dtype=float), np.asarray(mass, dtype=float), triangle=True)
 
 
 def validate_space(dist, mass) -> MetricMeasureSpace:

@@ -41,6 +41,7 @@ MUTANTS = (
         (
             "tests/test_operators.py::TestInPlaceTemporaries::test_values_across_row_block_edges",
             "tests/test_space.py::TestTriangleScreen::test_violation_row_in_last_row_block",
+            "tests/test_operators.py::TestTreeOracle::test_operators_equal_block_sums",  # prefixes of 255 and 257 leaves
         ),
     ),
     Mutant(
@@ -92,8 +93,8 @@ MUTANTS = (
     Mutant(
         "screen-half-on-asymmetric",
         "space.py",
-        "half = len(asym) == 0",
-        "half = True",
+        "_triangle_violations(dist, len(asym) == 0)",
+        "_triangle_violations(dist, True)",
         ("tests/test_space.py::TestTriangleScreen::test_nan_entry_takes_the_full_screen",),
     ),
     Mutant(
@@ -258,6 +259,37 @@ MUTANTS = (
             "tests/test_cli.py::TestConfigErrorsExitTwo::test_function_file_of_non_numbers",
             "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_of_non_numbers",
             "tests/test_cli.py::TestSpaceFiles::test_validate_non_numbers_exit_two",
+        ),
+    ),
+    Mutant(
+        "generated-skips-mass-check",
+        "generators.py",
+        "if _entry_violations(dist, mass):",
+        'if [v for v in _entry_violations(dist, mass) if v.kind != "NonpositiveMass"]:',
+        (
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_generated_space_that_fails_validation",
+            "tests/test_generators.py::TestSpaces::test_all_families_validate",
+            "tests/test_generators.py::TestSpaces::test_valid_space_skips_the_triangle_screen",
+        ),
+    ),
+    Mutant(
+        "space-file-unbounded-points",
+        "cli.py",
+        "if not 0 <= n <= MAX_POINTS:",
+        "if not 0 <= n:",
+        (
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_past_max_points",
+            "tests/test_cli.py::TestSpaceFiles::test_validate_past_max_points_exits_two",
+        ),
+    ),
+    Mutant(
+        "space-file-unbounded-bytes",
+        "cli.py",
+        "if size > _MAX_SPACE_FILE_BYTES:",
+        "if size > 2 * _MAX_SPACE_FILE_BYTES:",
+        (
+            "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_past_the_byte_bound",
+            "tests/test_cli.py::TestSpaceFiles::test_validate_past_the_byte_bound_exits_two",
         ),
     ),
     Mutant(

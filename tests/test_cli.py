@@ -19,6 +19,7 @@ from morrey_lab import cli
 from morrey_lab.cli import ConfigError, load_space_file, parse_config, save_space_file, write_report
 from morrey_lab.extremal import OptimizerConfig
 from morrey_lab.generators import FunctionSpec, SpaceSpec, generate_function, generate_space
+from morrey_lab.space import MetricMeasureSpace
 from morrey_lab.theorems import CHECK_IDS
 
 BASE_CONFIG = {
@@ -85,6 +86,20 @@ class TestConfigParsing:
         (req,) = cfg.estimates
         assert req.space == "space0" and req.exponent == 0
         assert req.optimizer == OptimizerConfig(seed=5, restarts=2)
+
+
+def oversize_space_file(path, monkeypatch):
+    """A sparse file (nothing is written) one byte past the space-file bound;
+    ``json.load`` fails the test on it instead of reading 416 MiB."""
+    with open(path, "wb") as fh:
+        fh.truncate(cli._MAX_SPACE_FILE_BYTES + 1)
+    load = json.load
+
+    def guarded(fh, **kwargs):
+        assert os.fstat(fh.fileno()).st_size <= cli._MAX_SPACE_FILE_BYTES, "json.load read the oversize file"
+        return load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", guarded)
 
 
 class TestConfigErrorsExitTwo:
@@ -330,6 +345,23 @@ class TestConfigErrorsExitTwo:
         assert code == 2
         assert err.startswith(f"config error: cannot use input file {tmp_path / name}")
 
+    def test_space_file_past_max_points(self, tmp_path, capsys):
+        """n is checked before the one-entry arrays are reshaped to n x n."""
+        (tmp_path / "big.json").write_text(json.dumps({"n": 4097, "dist": [0], "mass": [1]}))
+        code, err = self.run_with(tmp_path, capsys, {"spaces": [{"id": "x", "file": "big.json"}]})
+        assert code == 2
+        assert err == (f"config error: cannot use input file {tmp_path / 'big.json'}:"
+                       " 'n' must lie in [0, MAX_POINTS = 4096], got 4097\n")
+
+    def test_space_file_past_the_byte_bound(self, tmp_path, capsys, monkeypatch):
+        """A space file larger than the largest one save_space_file writes is
+        refused before json.load reads it."""
+        oversize_space_file(tmp_path / "huge.json", monkeypatch)
+        code, err = self.run_with(tmp_path, capsys, {"spaces": [{"id": "x", "file": "huge.json"}]})
+        assert code == 2
+        assert err == (f"config error: cannot use input file {tmp_path / 'huge.json'}:"
+                       " a space file holds at most 436314176 bytes, got 436314177\n")
+
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-one", "two-to-the-64"])
     @pytest.mark.parametrize(
         "where,context",
@@ -538,6 +570,30 @@ class TestSpaceFiles:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"cannot read space file: {path}: '")
+
+    def test_validate_past_the_byte_bound_exits_two(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "huge.json"
+        oversize_space_file(path, monkeypatch)
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "cannot read space file: a space file holds at most 436314176 bytes, got 436314177\n"
+
+    @pytest.mark.parametrize("n", [4097, -1])
+    def test_validate_past_max_points_exits_two(self, tmp_path, capsys, n):
+        """n is checked before the one-entry arrays are reshaped to n x n."""
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": n, "dist": [0], "mass": [1]}))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"cannot read space file: 'n' must lie in [0, MAX_POINTS = 4096], got {n}\n"
+
+    def test_byte_bound_fits_the_longest_numbers(self, tmp_path):
+        """save_space_file spends at most 26 bytes a number (the longest float
+        repr and ", ") and 64 on the keys, the budget of the byte bound."""
+        n = 3
+        dist = np.full((n, n), 2.2250738585072014e-308) * (1.0 - np.eye(n))
+        sp = MetricMeasureSpace(dist, np.full(n, 1.2345678901234567e-300))
+        save_space_file(sp, str(tmp_path / "space.json"))
+        assert {len(repr(v)) for v in (*dist[0, 1:].tolist(), *sp.mass.tolist())} == {23}
+        assert os.path.getsize(tmp_path / "space.json") <= (n * n + n) * 26 + 64
 
     def test_validate_missing_mass_exits_two(self, tmp_path, capsys):
         path = tmp_path / "space.json"

@@ -4,14 +4,33 @@ import numpy as np
 import pytest
 
 from morrey_lab import generators
+from morrey_lab import space as space_module
 from morrey_lab.generators import (
+    SPACE_FAMILIES,
     FunctionSpec,
     InvalidSpec,
     SpaceSpec,
     generate_function,
     generate_space,
 )
-from morrey_lab.space import doubling_ratio, find_violations
+from morrey_lab.space import InvalidSpaceError, doubling_ratio, find_violations, validate_space
+
+HALFWIDTHS = (1e-150, 1e-5, 1.0, 1e5, 1e150)
+
+
+def family_specs(family):
+    """Specs of ``family`` in dims 1-3 at every halfwidth of HALFWIDTHS (two
+    seeds for random points), then at n = 255-257 (and 1024 for random
+    points), which reach a partial last row block and the 256 dtype edges."""
+    if family == "ultrametric-tree":
+        return [SpaceSpec(family, depth=depth) for depth in range(9)]
+    if family == "random-points":
+        specs = [SpaceSpec(family, n=40, dim=dim, halfwidth=hw, seed=seed)
+                 for dim in (1, 2, 3) for hw in HALFWIDTHS for seed in (0, 2**64 - 1)]
+        return specs + [SpaceSpec(family, n=n, dim=2, seed=n) for n in (255, 256, 257, 1024)]
+    specs = [SpaceSpec(family, n=n, dim=dim, beta=2.0, halfwidth=hw)
+             for dim, n in ((1, 33), (2, 6), (3, 4)) for hw in HALFWIDTHS]
+    return specs + [SpaceSpec(family, n=n, beta=2.0, halfwidth=4.0) for n in (255, 256, 257)]
 
 
 def loop_ball_indicator(space, center, radius, value):
@@ -118,17 +137,47 @@ class TestSpaces:
         assert non_finite == 2
 
     def test_all_families_validate(self):
-        specs = [
-            SpaceSpec("grid", n=8, dim=1),
-            SpaceSpec("grid", n=3, dim=2),
-            SpaceSpec("gaussian-grid", n=16, dim=1, halfwidth=5.0),
-            SpaceSpec("radial-decay-grid", n=16, dim=1, beta=2.0, halfwidth=4.0),
-            SpaceSpec("ultrametric-tree", depth=4),
-            SpaceSpec("random-points", n=12, dim=2, seed=7),
-        ]
+        """Every family is a metric: its distances have no violation wherever
+        they are finite, in dims 1-3, at several n and seeds and at halfwidths
+        from 1e-150 to 1e150.  generate_space returns the spaces whose masses
+        pass too, and raises the full violation list for the others (a mass
+        that underflows to 0 or overflows to inf)."""
+        specs = [spec for family in SPACE_FAMILIES for spec in family_specs(family)]
+        built = 0
         for spec in specs:
-            sp = generate_space(spec)
-            assert find_violations(sp.dist, sp.mass) == []
+            try:
+                sp = generate_space(spec)
+            except InvalidSpaceError as exc:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dist, mass = generators._space_arrays(spec)
+                assert exc.violations == find_violations(dist, mass), spec
+                if np.all(np.isfinite(dist)):
+                    assert find_violations(dist, np.ones(len(dist))) == [], spec
+            else:
+                assert find_violations(sp.dist, sp.mass) == [], spec
+                built += 1
+        assert built >= len(specs) // 2
+
+    def test_valid_space_skips_the_triangle_screen(self, monkeypatch):
+        """A valid generated space never enters the O(n^3) screen, and its
+        tables are bitwise those of validate_space on the same arrays; an
+        invalid one takes the full screen."""
+        calls = []
+        screen = space_module._triangle_violations
+        monkeypatch.setattr(space_module, "_triangle_violations", lambda *args: calls.append(args) or screen(*args))
+        for family in SPACE_FAMILIES:
+            for spec in family_specs(family)[:3]:
+                sp = generate_space(spec)
+                assert calls == [], spec
+                ref = validate_space(*generators._space_arrays(spec))
+                assert len(calls) == 1, spec
+                calls.clear()
+                for name in ("dist", "mass", "order", "csum0"):
+                    got, want = getattr(sp, name), getattr(ref, name)
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (spec, name)
+        with pytest.raises(InvalidSpaceError, match="NonpositiveMass"):
+            generate_space(SpaceSpec("gaussian-grid", n=16, halfwidth=40.0))
+        assert len(calls) == 1
 
     def test_seed_determinism(self):
         a = generate_space(SpaceSpec("random-points", n=10, dim=3, seed=42))

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from morrey_lab import theorems
 from morrey_lab.functions import ExponentSet, lq_norm, morrey_norm
+from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.operators import fractional_integral, hedberg_constant, maximal
-from morrey_lab.space import doubling_ratio, validate_space
+from morrey_lab.space import doubling_ratio, find_violations, validate_space
 from morrey_lab.theorems import (
     Values,
     check_T1_weak_maximal,
@@ -194,3 +195,22 @@ def test_atom_splitting_keeps_values(sp_f, data, lam):
         np.testing.assert_allclose(got, fractional_integral(sp, f, EXPS.alpha, kappa)[idx], rtol=RTOL)
     np.testing.assert_allclose(invariants(split, g), invariants(sp, f), rtol=RTOL)
     assert exact_t1_supremum(split, g, EXPS.p) == pytest.approx(exact_t1_supremum(sp, f, EXPS.p), rel=RTOL)
+
+
+random_points = st.builds(
+    SpaceSpec,
+    family=st.just("random-points"),
+    n=st.integers(1, 48),
+    dim=st.integers(1, 3),
+    halfwidth=st.floats(-150.0, 150.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@SETTINGS
+@given(random_points)
+def test_generated_random_points_are_metrics(spec):
+    """generate_space builds random points without the triangle screen; the
+    screen finds nothing on them, at any scale from 1e-150 to 1e150."""
+    sp = generate_space(spec)
+    assert find_violations(sp.dist, sp.mass) == []
