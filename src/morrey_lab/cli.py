@@ -40,7 +40,7 @@ from .functions import ExponentOutOfRange, ExponentSet
 from .generators import FunctionSpec, InvalidSpec, SpaceSpec, generate_function, generate_space
 from .operators import hedberg_constant
 from .space import MAX_POINTS, MetricMeasureSpace, find_violations, validate_space
-from .theorems import BALL_CHECKS, CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, enumerate_balls, evaluate
+from .theorems import CHECK_IDS, GAMMA_COUNT, GAMMA_HI, GAMMA_LO, Values, evaluate
 
 CSV_COLUMNS = [
     "check_id",
@@ -63,6 +63,13 @@ CSV_COLUMNS = [
 
 class ConfigError(ValueError):
     pass
+
+
+# Each T1 or T3 call holds a (ball x level) table of 64 * count rows, about 260 bytes a row.
+MAX_GAMMA_COUNT = 1024
+# Each distinct sweep kappa keeps one n x n index table in every space for the rest of the
+# run (``MetricMeasureSpace.dilated_measure``): 32 MiB each at ``MAX_POINTS``.
+MAX_SWEEP_KAPPAS = 8
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,7 @@ class ExperimentConfig:
     checks: list  # check id strings
     estimates: list  # EstimateRequest
     sweeps: list  # SweepRequest
-    gamma_lo: float
-    gamma_hi: float
-    gamma_count: int
+    gamma_grid: tuple  # (lo, hi, count)
     output_dir: str
     raw: dict
 
@@ -255,17 +260,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
             sweeps.append(sweep)
         else:
             raise ConfigError(f"checks[{i}]: expected a check id or an estimate/sweep request")
+    kappas = {k for sweep in sweeps for k in sweep.kappas}
+    if len(kappas) > MAX_SWEEP_KAPPAS:
+        raise ConfigError(f"sweeps: at most MAX_SWEEP_KAPPAS = {MAX_SWEEP_KAPPAS} distinct kappas, got {len(kappas)}")
     per_triple = sorted(set(checks) - {"weakL1"})  # every check but weakL1 runs once per exponent triple
     if per_triple and not exponents:
         raise ConfigError(f"checks {per_triple} need at least one [p, q, alpha] triple in exponents")
 
     gg = top["gamma_grid"]
-    if not (0.0 < gg["lo"] < math.inf and 0.0 < gg["hi"] < math.inf and gg["count"] >= 1):
-        raise ConfigError(f"gamma_grid: need finite lo > 0, finite hi > 0 and count >= 1, got {gg}")
+    if not (0.0 < gg["lo"] < math.inf and 0.0 < gg["hi"] < math.inf and 1 <= gg["count"] <= MAX_GAMMA_COUNT):
+        raise ConfigError(f"gamma_grid: need finite lo > 0, finite hi > 0 and 1 <= count <= {MAX_GAMMA_COUNT},"
+                          f" got {gg}")
     return ExperimentConfig(
         seed=seed, spaces=spaces, functions=functions, exponents=exponents, checks=checks, estimates=estimates,
-        sweeps=sweeps, gamma_lo=gg["lo"], gamma_hi=gg["hi"], gamma_count=gg["count"], output_dir=top["output_dir"],
-        raw=raw,
+        sweeps=sweeps, gamma_grid=(gg["lo"], gg["hi"], gg["count"]), output_dir=top["output_dir"], raw=raw,
     )
 
 
@@ -278,15 +286,22 @@ _SPACE_FILE = {"n": (object, _REQUIRED), "dist": (np.ndarray, _REQUIRED), "mass"
 # most 24 characters (the longest float repr, "-2.2250738585072014e-308") and a ", ", and
 # the keys.  About 416 MiB; json.load reads a file into Python floats before any check.
 _MAX_SPACE_FILE_BYTES = (MAX_POINTS**2 + MAX_POINTS) * (24 + 2) + 64
+# A function file: MAX_POINTS numbers, each with room for 24 characters, a separator and indentation.
+_MAX_FUNCTION_FILE_BYTES = MAX_POINTS * 64
+
+
+def _read_json(path: str, limit: int, what: str):
+    """The JSON document of a file, refused before ``json.load`` if it holds more than ``limit`` bytes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > limit:
+            raise ValueError(f"a {what} file holds at most {limit} bytes, got {size}")
+        return json.load(fh)
 
 
 def _read_space_doc(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The (dist, mass) arrays of a space file, not yet validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size > _MAX_SPACE_FILE_BYTES:
-            raise ValueError(f"a space file holds at most {_MAX_SPACE_FILE_BYTES} bytes, got {size}")
-        doc = _take(json.load(fh), path, _SPACE_FILE)
+    doc = _take(_read_json(path, _MAX_SPACE_FILE_BYTES, "space"), path, _SPACE_FILE)
     n = doc["n"]
     if type(n) is not int:  # a bool is an int subclass, and int() would truncate 2.9
         raise ValueError(f"'n' must be an integer, got {n!r}")
@@ -307,15 +322,14 @@ def save_space_file(space: MetricMeasureSpace, path: str):
 
 
 def load_function_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _coerce(path, "values", np.ndarray, json.load(fh))
+    return _coerce(path, "values", np.ndarray, _read_json(path, _MAX_FUNCTION_FILE_BYTES, "function"))
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig, verdict: dict):
+def _pair_records(space, space_id, f, function_id, cfg: ExperimentConfig, verdict: dict):
     """The record blocks of one (space, function) pair, one per check call:
     ``(shared, columns)``, the values its rows share and the call's float64
     arrays and bool pass flags as they are; ``verdict`` counts them."""
@@ -323,7 +337,7 @@ def _pair_records(space, space_id, f, function_id, balls, cfg: ExperimentConfig,
     for check in cfg.checks:
         base = {**dict.fromkeys(CSV_COLUMNS, ""), "check_id": check, "space_id": space_id, "function_id": function_id}
         try:
-            tables = evaluate(space, f, check, cfg.exponents, balls, cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
+            tables = evaluate(space, f, check, cfg.exponents, cfg.seed, cfg.gamma_grid)
         except ValueError as exc:  # bad function values or exponents: surfaced per record, run continues
             blocks.append(({**base, "error": f"{type(exc).__name__}: {exc}"}, {}))
             verdict["errors"] += 1
@@ -405,13 +419,11 @@ def run(cfg: ExperimentConfig, base_dir: str = ".", log=None):
 
     records, built = [], []  # built: (space, {function id: Values}) per space
     verdict = {"pass": 0, "fail": 0, "errors": 0}
-    needs_balls = any(check in BALL_CHECKS for check in cfg.checks)
     for sid, space in spaces:
-        balls = enumerate_balls(space, limit=64, seed=cfg.seed) if needs_balls else []
         values = _materialize_functions(cfg, sid, space, base_dir)
         built.append((space, dict(values)))
         for fid, f in values:
-            records += _pair_records(space, sid, f, fid, balls, cfg, verdict)
+            records += _pair_records(space, sid, f, fid, cfg, verdict)
     say(f"collected {len(records)} check record blocks")
 
     space_by_id = dict(spaces)  # ids are unique (parse_config)

@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .functions import ExponentSet
 from .space import MetricMeasureSpace
-from .theorems import BALL_CHECKS, CHECK_IDS, UnknownCheckId, check_T2_hedberg, enumerate_balls, evaluate
+from .theorems import CHECK_IDS, UnknownCheckId, check_T2_hedberg, evaluate
 
 STEP_INIT = 1.5  # first multiplicative step of each restart
 STEP_DECAY = 0.9  # step - 1 shrinks by this factor after a stalled sweep
@@ -47,16 +47,16 @@ class ExtremalResult:
 def make_objective(space: MetricMeasureSpace, check_id: str, exps: ExponentSet, seed: int = 0):
     """Ratio-of-the-check as a scalar function of f >= 0.
 
-    For the level-set checks the ball enumeration is frozen up front (seeded)
-    and the level grid tracks the operator's range of the current f, so the
-    objective is a pure function of f.
+    For the level-set checks the balls are the space's seeded sample, the
+    one ``evaluate`` caches per seed, and the level grid tracks the
+    operator's range of the current f, so the objective is a pure function
+    of f.
     """
     if check_id not in CHECK_IDS:
         raise UnknownCheckId(f"unknown check id {check_id!r}")
-    balls = enumerate_balls(space, limit=64, seed=seed) if check_id in BALL_CHECKS else []
 
     def objective(f: np.ndarray) -> float:
-        return float(evaluate(space, f, check_id, [exps], balls)[0].empirical_constant.max(initial=0.0))
+        return float(evaluate(space, f, check_id, [exps], seed)[0].empirical_constant.max(initial=0.0))
 
     return objective
 
@@ -100,8 +100,7 @@ def estimate_constant(
     trace: list[list[float]] = []
     for restart in range(cfg.restarts):
         f = _initial_function(space, restart, cfg.seed)
-        if f.max() > 0.0:
-            f = f / f.max()
+        f = f / f.max()  # positive: the start functions and the moves keep an entry above 0
         val = objective(f)
         step = STEP_INIT
         rtrace = [val]
@@ -131,8 +130,7 @@ def estimate_constant(
                 step = 1.0 + (step - 1.0) * STEP_DECAY
                 if step - 1.0 < 1e-4:
                     break
-            if f.max() > 0.0:
-                f = f / f.max()  # the objective is scale-invariant
+            f = f / f.max()  # the objective is scale-invariant
         total_iters += it
         trace.append(rtrace)
         if val > best_ratio:

@@ -65,18 +65,19 @@ class MetricMeasureSpace:
     closed/open ball measure is one searchsorted away.  Memory: two resident
     n x n float64 tables, ``dist`` and ``csum0``, each 8 n^2 bytes (0.5 MiB at
     n = 256, 32 MiB at n = 2048); ``order`` in the smallest unsigned dtype that
-    indexes n points (1 byte per entry up to n = 256, 2 up to 65,536); one
-    index table per distinct k of ``dilated_measure``, its columns into
-    ``csum0`` in the smallest unsigned dtype that holds n (1 byte per entry up
-    to n = 255, 2 up to 65,535).  Every other n x n pass holds one ``_ROWS`` x n
-    block of ``row_blocks`` at a time.
+    indexes n points (1 byte per entry up to n = 256, 2 up to 65,536).  What
+    is built once per space stays in the ``cached`` dict: one index table per
+    distinct k of ``dilated_measure``, its columns into ``csum0`` in the
+    smallest unsigned dtype that holds n (1 byte per entry up to n = 255, 2 up
+    to 65,535), and ``theorems``' ball sample per seed.  Every other n x n pass
+    holds one ``_ROWS`` x n block of ``row_blocks`` at a time.
     """
 
     dist: np.ndarray
     mass: np.ndarray
     order: np.ndarray = field(init=False, repr=False)
     csum0: np.ndarray = field(init=False, repr=False)
-    _dilated: dict = field(init=False, repr=False, default_factory=dict)
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         dist = np.ascontiguousarray(np.asarray(self.dist, dtype=float))
@@ -94,10 +95,6 @@ class MetricMeasureSpace:
     @property
     def n(self) -> int:
         return self.dist.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.csum0[0, -1])
 
     @property
     def diameter(self) -> float:
@@ -119,20 +116,27 @@ class MetricMeasureSpace:
         idx = np.searchsorted(self.sorted_dist(x), radii, side="left")
         return self.csum0[x][idx]
 
+    def cached(self, key, build):
+        """The value of ``key`` in the space's cache, ``build()`` on its first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def dilated_measure(self, k: float, rows=slice(None)) -> np.ndarray:
         """Rows of T[x, j] = mu(closed ball(x, k * sorted_dist(x)[j])), one 1-D
         row for an int x, read from ``csum0`` through the read-only index table
         of k: idx[x, j] is the column of ``csum0`` that holds T[x, j].  The
-        table is built once per k, from one block of sorted rows at a time."""
-        index = self._dilated.get(k)
-        if index is None:
+        table is ``cached`` per k, built from one block of sorted rows at a time."""
+
+        def build():
             index = np.empty((self.n, self.n), dtype=np.min_scalar_type(self.n))
             for block in row_blocks(self.n):
                 for x, row in enumerate(self.sorted_dist(block), block.start):
                     index[x] = _closed_rank(row, k * row)
             index.setflags(write=False)
-            self._dilated[k] = index
-        index, csum = index[rows], self.csum0[rows]
+            return index
+
+        index, csum = self.cached(("dilated", k), build)[rows], self.csum0[rows]
         if index.ndim == 2:  # flat take, as in sorted_dist
             index = index + np.arange(0, csum.size, self.n + 1)[:, None]
         return csum.take(index)

@@ -26,7 +26,6 @@ from .rng import sample_indices
 from .space import MetricMeasureSpace, row_blocks
 
 CHECK_IDS = ("T1", "T2", "T3", "T6", "T7", "weakL1")
-BALL_CHECKS = ("T1", "T3")  # the checks that quantify over enumerate_balls
 GAMMA_LO, GAMMA_HI, GAMMA_COUNT = 1e-3, 1e3, 25  # default level grid, relative to the operator's maximum
 
 
@@ -234,35 +233,29 @@ def check_weak_L1(space, f, gammas) -> CheckReport:
     return _report("weakL1", {}, lhs, l1 / gammas, gamma=gammas)
 
 
-def evaluate(
-    space,
-    f,
-    check_id: str,
-    exponents,
-    balls,
-    gamma_lo: float = GAMMA_LO,
-    gamma_hi: float = GAMMA_HI,
-    gamma_count: int = GAMMA_COUNT,
-) -> list[CheckReport]:
+def evaluate(space, f, check_id: str, exponents, seed=0, grid=(GAMMA_LO, GAMMA_HI, GAMMA_COUNT)) -> list[CheckReport]:
     """The reports of one check on one function: one per exponent triple
-    (weakL1: one), with a row per ball in ``balls`` and level for the ball
-    checks (``BALL_CHECKS``).
+    (weakL1: one), with a row per level and, for T1 and T3, per ball of
+    ``enumerate_balls(space, 64, seed)``, ``cached`` by the space per seed.
 
     This is the one dispatch over ``CHECK_IDS``.  It calls the public
     ``check_*`` functions, looked up by name at each call, on one ``Values``
     (``f`` itself if it is one), so each operator value and norm is computed
-    once for all of them.  The level grids span [gamma_lo, gamma_hi] times
-    the maximum of the operator whose level sets are measured.
+    once for all of them.  The level grids span ``grid`` = (lo, hi, count):
+    [lo, hi] times the maximum of the operator whose level sets are measured.
     """
     v = _values(space, f)
 
     def levels(op, *args):
-        return gamma_grid(float(v.of(op, *args).max()), gamma_lo, gamma_hi, gamma_count)
+        return gamma_grid(float(v.of(op, *args).max()), *grid)
+
+    def balls():
+        return space.cached(("balls", seed), lambda: enumerate_balls(space, limit=64, seed=seed))
 
     per_triple = {
-        "T1": lambda e: check_T1_weak_maximal(space, v, balls, e.p, levels(maximal, 2.0)),
+        "T1": lambda e: check_T1_weak_maximal(space, v, balls(), e.p, levels(maximal, 2.0)),
         "T2": lambda e: check_T2_hedberg(space, v, e.p, e.alpha),
-        "T3": lambda e: check_T3_weak_frac(space, v, balls, e, levels(fractional_integral, e.alpha, 2.0)),
+        "T3": lambda e: check_T3_weak_frac(space, v, balls(), e, levels(fractional_integral, e.alpha, 2.0)),
         "T6": lambda e: check_T6_strong(space, v, e),
         "T7": lambda e: check_T7_maximal_morrey(space, v, e.p, e.q),
     }

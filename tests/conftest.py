@@ -7,6 +7,7 @@ are the independent side of every oracle-equivalence test.
 
 ``hedberg_layer_sum`` is the middle term of T2's proof, which the library
 does not compute: the tests check I_alpha f <= layer sum <= the T2 bound.
+``proof_chain_ratio`` binds three checks' records by the proof of T6.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from morrey_lab.functions import morrey_norm
 from morrey_lab.generators import SpaceSpec, generate_space
 from morrey_lab.operators import fractional_integral, maximal
 from morrey_lab.space import MetricMeasureSpace, validate_space
+from morrey_lab.theorems import Values, check_T2_hedberg, check_T6_strong, check_T7_maximal_morrey
+
+CHAIN_RTOL = 1e-12  # the proof chain is tight: gauss32/bump meets it with equality
 
 
 def two_point_space(d=1.0, masses=(1.0, 1.0)) -> MetricMeasureSpace:
@@ -125,7 +129,7 @@ def brute_maximal(space, f, k, count=10_000):
 def default_k_range(space: MetricMeasureSpace) -> tuple[int, int]:
     """Dyadic index range outside of which the layer radii are constant."""
     lo = math.floor(math.log2(float(space.mass.min()))) - 1
-    hi = math.ceil(math.log2(space.total_mass)) + 1
+    hi = math.ceil(math.log2(space.csum0[0, -1])) + 1
     return lo, hi
 
 
@@ -208,7 +212,7 @@ def assert_operators_equal_expression_forms(space, f):
     dilations = (1.0, 1.5, 2.0, 6.0)
     for k in dilations:
         space.dilated_measure(k)
-    before = {k: table.copy() for k, table in space._dilated.items()}
+    before = {key: table.copy() for key, table in space._cache.items() if key[0] == "dilated"}
     w = np.abs(f) * space.mass
     assert np.array_equal(space.cumulative(w), expression_cumulative(space, w))
     for k in dilations:
@@ -218,6 +222,24 @@ def assert_operators_equal_expression_forms(space, f):
         for alpha in (0.125, 0.25, 0.5):
             got = fractional_integral(space, f, alpha, kappa=k)
             assert np.array_equal(got, expression_fractional_integral(space, f, alpha, k)), (k, alpha)
-    assert space._dilated.keys() == before.keys()
-    for k, table in space._dilated.items():
-        assert not table.flags.writeable and np.array_equal(table, before[k]), k
+    assert space._cache.keys() == before.keys()
+    for key, table in space._cache.items():
+        assert not table.flags.writeable and np.array_equal(table, before[key]), key
+
+
+def proof_chain_ratio(space, f, exps) -> float:
+    """T6(f) / (H * T7(f)**(1 - p*alpha)), with H = T2's constant of f at
+    kappa = 2, after asserting that it is at most 1 within ``CHAIN_RTOL``.
+
+    The paper proves T6 from T2 and T7: raising I_alpha f <= H (M_2 f)^(1-p
+    alpha) N^(p alpha), N the (p, 1, 2) norm of f, to the power t and
+    integrating over a ball gives ||I_alpha f||_(s,t,6) <= H N^(p alpha)
+    ||M_2 f||_(p,q,6)^(1-p alpha), and N <= ||f||_(p,q,2) by Hoelder.  A zero
+    f has every side 0 and ratio 0."""
+    v = Values(space, f)
+    h = check_T2_hedberg(space, v, exps.p, exps.alpha).lhs.item()
+    t6 = check_T6_strong(space, v, exps).empirical_constant.item()
+    t7 = check_T7_maximal_morrey(space, v, exps.p, exps.q).empirical_constant.item()
+    bound = h * t7 ** (1.0 - exps.p * exps.alpha)
+    assert t6 <= bound * (1.0 + CHAIN_RTOL), (t6, bound)
+    return t6 / bound if bound > 0.0 else 0.0

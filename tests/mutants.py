@@ -152,6 +152,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "t6-outer-dilation-two",
+        "theorems.py",
+        "exps.s, exps.t, 6.0)",
+        "exps.s, exps.t, 2.0)",
+        ("tests/test_properties.py::test_proof_chain_binds_t6",),  # the corpus cases keep the chain under it
+    ),
+    Mutant(
+        "t7-reference-norm-undilated",
+        "theorems.py",
+        "v.of(morrey_norm, p, q, 2.0)",
+        "v.of(morrey_norm, p, q, 1.0)",
+        (
+            "tests/test_theorems.py::TestProofChain::test_corpus_cases",
+            "tests/test_properties.py::test_proof_chain_binds_t6",
+        ),
+    ),
+    Mutant(
         "memo-key-without-arguments",
         "theorems.py",
         "key = (op, args)",
@@ -285,8 +302,8 @@ MUTANTS = (
     Mutant(
         "space-file-unbounded-bytes",
         "cli.py",
-        "if size > _MAX_SPACE_FILE_BYTES:",
-        "if size > 2 * _MAX_SPACE_FILE_BYTES:",
+        "_read_json(path, _MAX_SPACE_FILE_BYTES,",
+        "_read_json(path, 2 * _MAX_SPACE_FILE_BYTES,",
         (
             "tests/test_cli.py::TestConfigErrorsExitTwo::test_space_file_past_the_byte_bound",
             "tests/test_cli.py::TestSpaceFiles::test_validate_past_the_byte_bound_exits_two",

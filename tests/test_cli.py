@@ -323,6 +323,54 @@ class TestConfigErrorsExitTwo:
         assert err.startswith("config error: gamma_grid: need finite lo > 0")
 
     @pytest.mark.parametrize(
+        "first,second,code",
+        [([1.0, 1.5, 2.0, 3.0, 4.0], [4.0, 5.0, 6.0, 7.0, 8.0], 2), ([1.0, 1.5, 2.0, 3.0], [3.0, 4.0, 5.0, 6.0, 7.0], 0)],
+        ids=["nine", "eight"],
+    )
+    def test_sweep_kappas_past_the_bound(self, tmp_path, capsys, monkeypatch, first, second, code):
+        """Each distinct kappa keeps an n x n index table in every space for
+        the rest of the run: more than 8 across the sweeps, a shared one
+        counted once, are rejected before any space is built."""
+        if code == 2:
+            monkeypatch.setattr(cli, "generate_space", lambda spec: pytest.fail("a space was built"))
+        sweeps = [{"sweep": {"alpha": 0.25, "p": 2.0, "kappas": kappas}} for kappas in (first, second)]
+        got, err = self.run_with(tmp_path, capsys, {"checks": sweeps})
+        assert got == code
+        if code == 2:
+            assert err == "config error: sweeps: at most MAX_SWEEP_KAPPAS = 8 distinct kappas, got 9\n"
+
+    def test_gamma_count_past_the_bound(self, tmp_path, capsys):
+        """Each T1 or T3 call holds 64 * count rows: a count past 1024 is
+        rejected when the config is read."""
+        assert parse_config(dict(BASE_CONFIG, gamma_grid={"count": 1024})).gamma_grid == (1e-3, 1e3, 1024)
+        code, err = self.run_with(tmp_path, capsys, {"gamma_grid": {"count": 1025}})
+        assert code == 2
+        assert err == ("config error: gamma_grid: need finite lo > 0, finite hi > 0 and 1 <= count <= 1024,"
+                       " got {'lo': 0.001, 'hi': 1000.0, 'count': 1025}\n")
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_function_file_past_the_byte_bound(self, tmp_path, capsys, monkeypatch, excess):
+        """A function file of more than MAX_POINTS * 64 bytes is refused
+        before json.load reads it; one of exactly that size is read."""
+        path = tmp_path / "f.json"
+        text = json.dumps([1.0, 2.0, 3.0, 4.0])
+        path.write_text(text + " " * (cli._MAX_FUNCTION_FILE_BYTES + excess - len(text)))
+        load = json.load
+
+        def guarded(fh, **kwargs):
+            assert os.fstat(fh.fileno()).st_size <= cli._MAX_FUNCTION_FILE_BYTES, "json.load read the oversize file"
+            return load(fh, **kwargs)
+
+        monkeypatch.setattr(json, "load", guarded)
+        code, err = self.run_with(tmp_path, capsys, {"functions": [{"id": "f", "file": "f.json"}]})
+        if excess:
+            assert code == 2
+            assert err == (f"config error: cannot use input file {path}:"
+                           " a function file holds at most 262144 bytes, got 262145\n")
+        else:
+            assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
         "kind,name,content",
         [
             ("spaces", "missing.json", None),
@@ -608,7 +656,7 @@ class TestSpaceFiles:
         assert cli.main(["gen", str(spec), "-o", str(out)]) == 0
         assert cli.main(["validate", str(out)]) == 0
         sp = load_space_file(str(out))
-        assert sp.total_mass == pytest.approx(1.0, rel=1e-12)
+        assert sp.csum0[0, -1] == pytest.approx(1.0, rel=1e-12)
 
     def test_gen_bad_spec_value_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -1298,6 +1346,30 @@ class TestSharedWork:
         for space_id in set(calls["enumerate_balls"]):
             assert calls["maximal"].count(space_id) == n_functions
             assert calls["morrey_norm"].count(space_id) == n_functions * 4 * n_exps
+
+    @pytest.mark.parametrize(
+        "checks,per_space",
+        [(["T1", "T3", {"estimate": {"check": "T1", "restarts": 1, "max_iters": 4}}], 1), (["T2", "T6", "T7", "weakL1"], 0)],
+        ids=["ball-checks-and-estimate", "no-ball-check"],
+    )
+    def test_balls_enumerated_once_per_space(self, monkeypatch, checks, per_space):
+        """The T1 and T3 records and a T1 estimate on the first space, made
+        with the run's seed, share the space's one ball sample; a run without
+        T1 or T3 samples none."""
+        from morrey_lab import theorems
+
+        calls, original = [], theorems.enumerate_balls
+
+        def counted(space, *args, **kwargs):
+            calls.append(id(space))
+            return original(space, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "enumerate_balls", counted)
+        raw = dict(BASE_CONFIG, spaces=[*BASE_CONFIG["spaces"], {"id": "t2", "family": "ultrametric-tree", "depth": 2}])
+        cfg = parse_config(dict(raw, checks=checks))
+        report, _ = cli.run(cfg)
+        assert report["verdict"]["errors"] == 0 and len(report["estimates"]) == len(cfg.estimates)
+        assert len(calls) == len(set(calls)) == per_space * len(cfg.spaces)
 
     def test_sweep_reuses_the_checks_values(self, monkeypatch):
         _, plain = self.run_counted(monkeypatch, with_sweep=False)

@@ -63,12 +63,12 @@ class TestSpaces:
         sp = generate_space(SpaceSpec("grid", n=4, dim=1, halfwidth=0.5))
         assert sp.n == 4
         assert np.unique(np.diff(np.sort(sp.dist[0]))).tolist() == [0.25]
-        assert sp.total_mass == pytest.approx(1.0, rel=1e-12)
+        assert sp.csum0[0, -1] == pytest.approx(1.0, rel=1e-12)
 
     def test_grid_2d(self):
         sp = generate_space(SpaceSpec("grid", n=4, dim=2, halfwidth=1.0))
         assert sp.n == 16
-        assert sp.total_mass == pytest.approx(4.0, rel=1e-12)
+        assert sp.csum0[0, -1] == pytest.approx(4.0, rel=1e-12)
 
     def test_gaussian_grid_is_non_doubling(self):
         sp = generate_space(SpaceSpec("gaussian-grid", n=256, dim=1, halfwidth=10.0))

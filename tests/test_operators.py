@@ -289,8 +289,8 @@ class TestDilatedTable:
         fractional_integral(sp, f, 0.25)
         maximal(sp, 2.0 * f, 2.0)
         assert len(calls) == sp.n
-        index = sp._dilated[2.0]
-        assert list(sp._dilated) == [2.0]
+        index = sp._cache[("dilated", 2.0)]
+        assert list(sp._cache) == [("dilated", 2.0)]
         assert index.dtype == np.min_scalar_type(sp.n) and index.shape == (sp.n, sp.n)
         assert not index.flags.writeable
         with pytest.raises(ValueError):
@@ -299,7 +299,7 @@ class TestDilatedTable:
         assert np.array_equal(index, want)
         assert np.array_equal(sp.dilated_measure(2.0), np.take_along_axis(sp.csum0, index.astype(int), axis=1))
         sp.dilated_measure(6.0, 0)
-        assert len(calls) == 2 * sp.n and sp._dilated[2.0] is index
+        assert len(calls) == 2 * sp.n and sp._cache[("dilated", 2.0)] is index
 
     @pytest.mark.parametrize("n", [255, 256, 257])
     def test_index_holds_n(self, n):
@@ -310,7 +310,7 @@ class TestDilatedTable:
         for k in (1.0, 6.0):
             whole = sp.dilated_measure(k)
             assert np.array_equal(whole[:, -1], sp.csum0[:, -1]), k
-            assert sp._dilated[k].max() == n
+            assert sp._cache[("dilated", k)].max() == n
             rows = [sp.closed_measure(x, k * sp.sorted_dist(x)) for x in range(n)]
             assert np.array_equal(whole, rows), k
             assert np.array_equal(sp.dilated_measure(k, n - 1), whole[n - 1])
@@ -327,7 +327,7 @@ class TestDilatedTable:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert sp._dilated[2.0].dtype == np.uint16
+        assert sp._cache[("dilated", 2.0)].dtype == np.uint16
         assert kept <= table / 4 + 8 * sp.n, kept / table
 
 

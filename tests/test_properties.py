@@ -28,7 +28,7 @@ from morrey_lab.theorems import (
     gamma_grid,
 )
 
-from conftest import assert_operators_equal_expression_forms, hedberg_layer_sum
+from conftest import assert_operators_equal_expression_forms, hedberg_layer_sum, proof_chain_ratio
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 RTOL = 1e-9  # acceptance 1's oracle tolerance
@@ -106,6 +106,13 @@ def space_and_sparse_function(draw):
     f = np.zeros(sp.n)
     f[support] = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(support), max_size=len(support)))
     return sp, f
+
+
+@SETTINGS
+@given(space_and_sparse_function(), st.sampled_from([(2.0, 1.5, 0.25), (4.0, 2.0, 0.125), (3.0, 1.2, 0.3), (2.0, 2.0, 0.4)]))
+def test_proof_chain_binds_t6(sp_f, pqa):
+    """T6(f) <= H * T7(f)**(1 - p*alpha), H = T2's constant of f: ``proof_chain_ratio`` asserts it."""
+    proof_chain_ratio(*sp_f, ExponentSet.from_pqa(*pqa))
 
 
 @SETTINGS

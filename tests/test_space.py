@@ -28,7 +28,7 @@ class TestValidate:
     def test_smallest_nontrivial_metric(self):
         sp = validate_space([[0, 1], [1, 0]], [1, 1])
         assert sp.n == 2
-        assert sp.total_mass == 2.0
+        assert sp.csum0[0, -1] == 2.0
 
     def test_asymmetry_reported(self):
         violations = find_violations([[0, 1], [2, 0]], [1, 1])

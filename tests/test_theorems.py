@@ -30,7 +30,7 @@ from morrey_lab.theorems import (
     gamma_grid,
 )
 
-from conftest import random_space, reference_spaces, single_point_space, two_point_space
+from conftest import CHAIN_RTOL, proof_chain_ratio, random_space, reference_spaces, single_point_space, two_point_space
 
 EXPS = ExponentSet.from_pqa(2.0, 1.5, 0.25)
 
@@ -312,6 +312,24 @@ class TestT7:
             const = check_T7_maximal_morrey(sp, f, 2.0, 1.5).empirical_constant.item()
             assert math.isfinite(const)
             assert const >= 1.0 - 1e-12  # maximal dominates f
+
+
+class TestProofChain:
+    def test_corpus_cases(self):
+        """T6(f) <= H * T7(f)**(1 - p*alpha) on the 30 corpus (space,
+        function, triple) cases, where H is T2's constant of f; gauss32/bump
+        meets the bound, so the tolerance is as tight as the chain."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
+            cfg = parse_config(json.load(fh))
+        ratios = {}
+        for sid, sspec in cfg.spaces:
+            sp = generate_space(sspec)
+            for fid, fspec in cfg.functions:
+                f = generate_function(sp, fspec)
+                ratios[sid, fid] = [proof_chain_ratio(sp, f, exps) for exps in cfg.exponents]
+        assert len(ratios) * len(cfg.exponents) == 30
+        assert min(ratios["gauss32", "bump"]) >= 1.0 - CHAIN_RTOL
 
 
 class TestWeakL1:
@@ -632,22 +650,21 @@ class TestEvaluate:
         with open(os.path.join(here, "..", "configs", "corpus.json"), encoding="utf-8") as fh:
             cfg = parse_config(json.load(fh))
         assert len(cfg.exponents) == 2
-        grid = (cfg.gamma_lo, cfg.gamma_hi, cfg.gamma_count)
         for _, sspec in cfg.spaces:
             sp = generate_space(sspec)
             balls = enumerate_balls(sp, limit=64, seed=cfg.seed)
             for _, fspec in cfg.functions:
                 f = generate_function(sp, fspec)
                 for check in CHECK_IDS:
-                    got = evaluate(sp, f, check, cfg.exponents, balls, *grid)
-                    want = per_ball_checks(sp, f, check, cfg.exponents, balls, *grid)
+                    got = evaluate(sp, f, check, cfg.exponents, cfg.seed, cfg.gamma_grid)
+                    want = per_ball_checks(sp, f, check, cfg.exponents, balls, *cfg.gamma_grid)
                     assert len(got) == len(want) == (1 if check == "weakL1" else len(cfg.exponents))
                     for g, w in zip(got, want):
                         assert_same_rows(g, w)
 
     def test_unknown_check_id(self):
         with pytest.raises(UnknownCheckId):
-            evaluate(single_point_space(), [1.0], "T9", [EXPS], [(0, 1.0)])
+            evaluate(single_point_space(), [1.0], "T9", [EXPS])
 
     def test_weak_l1_runs_maximal_once(self, monkeypatch):
         from morrey_lab import theorems
@@ -660,7 +677,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(theorems, "maximal", counted)
         sp = random_space(4)
-        (got,) = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS], [])
+        (got,) = evaluate(sp, np.linspace(0.0, 1.0, sp.n), "weakL1", [EXPS])
         assert calls == [2.0] and len(got.lhs) == 25
 
 
